@@ -8,6 +8,7 @@ asset operator from the top (greatest fixed point) or bottom (least), slow but
 independent, used to cross-check. ``clear_pro_rata`` is the exact-rational
 reference clearing for the proportional baseline; some instances only converge
 in the limit and are reported as approximate rather than silently truncated.
+Both iterative engines run through one Jacobi driver, ``_iterate``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from .core import (
     CirculationNetwork,
     ClearingState,
     FinancialNetwork,
+    EdgeId,
     FinclearError,
     FlowAssignment,
+    InconsistentStateError,
     Money,
     NodeId,
     build_circulation_network,
@@ -32,13 +35,12 @@ from .core import (
 from .strategies import (
     EdgeRankingStrategy,
     ProRataStrategy,
-    RankingStrategy,
+    Strategy,
     StrategyProfile,
     ThresholdRankingStrategy,
     check_strategy,
     payment_segments,
     payment_vector,
-    pro_rata_payment,
 )
 
 
@@ -101,18 +103,16 @@ def clear_circulation(
     net = circ.base
     _check_ranking_profile(net, profile)
 
-    order = sorted(circ.all_nodes(), key=node_key)
+    order = sorted(circ.nodes, key=node_key)
     node_index = {v: i for i, v in enumerate(order)}
     n = len(order)
 
-    edge_ids: list[int] = []
     edge_dst: list[int] = []
     edge_pos: dict[int, int] = {}
-    for e in circ.all_edges():
-        edge_pos[e.id] = len(edge_ids)
-        edge_ids.append(e.id)
+    for e in circ.edges:
+        edge_pos[e.id] = len(edge_dst)
         edge_dst.append(node_index[e.dst])
-    flows = [0] * len(edge_ids)
+    flows = [0] * len(edge_dst)
 
     # Payment schedule per node: (local edge, remaining) segments in order,
     # None marking unbounded room on the surplus edge. The source pays its
@@ -122,9 +122,7 @@ def clear_circulation(
         i = node_index[v]
         segs: list[tuple[int, Money | None]] = []
         if net.out_edges(v):
-            strat = profile.strategy_for(v)
-            assert isinstance(strat, (EdgeRankingStrategy, ThresholdRankingStrategy))
-            for e_id, length in payment_segments(strat, net):
+            for e_id, length in payment_segments(profile.strategy_for(v), net):
                 segs.append((edge_pos[e_id], length))
         segs.append((edge_pos[circ.surplus_edge(v).id], None))
         schedules[i] = segs
@@ -185,7 +183,8 @@ def clear_circulation(
             r = seg_rem[u]
             if r is not None and (delta is None or r < delta):
                 delta = r
-        assert delta is not None and delta > 0
+        if delta is None or delta <= 0:
+            raise InconsistentStateError(f"cycle push of size {delta}")
         for u in cycle:
             flows[active_edge[u]] += delta
             r = seg_rem[u]
@@ -206,12 +205,53 @@ def clear_circulation(
                 active_edge[u] = -1
                 active_to[u] = -1
 
-    real_flows = {e.id: flows[edge_pos[e.id]] for e in net.edges}
-    internal = {v: 0 for v in net.nodes}
+    return _clearing_state(net, {e.id: flows[edge_pos[e.id]] for e in net.edges})
+
+
+def _clearing_state(
+    net: FinancialNetwork, flows: dict[EdgeId, Money], zero: Money | Fraction = 0
+) -> ClearingState:
+    """The state whose flows are ``flows``: inflows, then assets. ``flows``
+    covers every edge; ``zero`` sets the number type of the sums."""
+    internal = {v: zero for v in net.nodes}
     for e in net.edges:
-        internal[e.dst] += real_flows[e.id]
+        internal[e.dst] += flows[e.id]
     assets = {v: net.external(v) + internal[v] for v in net.nodes}
-    return ClearingState(assets, internal, FlowAssignment(real_flows))
+    return ClearingState(assets, internal, FlowAssignment(flows))
+
+
+def _iterate(
+    net: FinancialNetwork,
+    strategies: list[Strategy],
+    assets: dict[NodeId, Money | Fraction],
+    max_iterations: int,
+    zero: Money | Fraction = 0,
+) -> tuple[ClearingState, int, bool]:
+    """Jacobi iteration of a -> external + inflow(payments at a); edges of
+    firms without a strategy carry ``zero``. Returns the last state, the
+    iterations counted and whether that state is a fixed point; past the cap
+    it is one more iterate."""
+    idle = {e.id: zero for e in net.edges}
+    iterations = 0
+    while True:
+        flows = dict(idle)
+        for strat in strategies:
+            flows.update(payment_vector(strat, net, assets[strat.owner]))
+        state = _clearing_state(net, flows, zero)
+        if iterations == max_iterations:
+            return state, iterations, False
+        iterations += 1
+        if state.assets == assets:
+            return state, iterations, True
+        assets = state.assets
+
+
+def _top(net: FinancialNetwork) -> dict[NodeId, Money]:
+    """Externals plus incoming capacity: an upper bound on every firm's assets."""
+    return {
+        v: net.external(v) + sum(e.weight for e in net.in_edges(v) if not e.is_unbounded())
+        for v in net.nodes
+    }
 
 
 def kleene_clearing(
@@ -228,33 +268,16 @@ def kleene_clearing(
     strategy is not monotone, which ranking strategies never are.
     """
     _check_ranking_profile(net, profile)
-    bounded_in = {
-        v: sum(e.weight for e in net.in_edges(v) if not e.is_unbounded())
-        for v in net.nodes
-    }
-    if start is KleeneStart.TOP:
-        assets = {v: net.external(v) + bounded_in[v] for v in net.nodes}
-    else:
-        assets = {v: 0 for v in net.nodes}
-    cap = sum(bounded_in.values()) + net.total_external() + len(net.nodes) + 5
-
-    payers = [v for v in net.nodes if net.out_edges(v)]
-    for iteration in range(cap + 1):
-        internal = {v: 0 for v in net.nodes}
-        for u in payers:
-            paid = payment_vector(profile.strategy_for(u), net, assets[u])
-            for e in net.out_edges(u):
-                internal[e.dst] += paid[e.id]
-        new_assets = {v: net.external(v) + internal[v] for v in net.nodes}
-        if new_assets == assets:
-            flows: dict[int, Money] = {}
-            for u in payers:
-                flows.update(payment_vector(profile.strategy_for(u), net, assets[u]))
-            return ClearingState(assets, internal, FlowAssignment(flows))
-        assets = new_assets
-    raise IterationLimitError(
-        f"no fixed point after {cap} iterations; a strategy is not monotone"
-    )
+    top = _top(net)
+    assets = top if start is KleeneStart.TOP else {v: 0 for v in net.nodes}
+    cap = sum(top.values()) + len(net.nodes) + 5
+    payers = [profile.strategy_for(v) for v in net.nodes if net.out_edges(v)]
+    state, _, converged = _iterate(net, payers, assets, cap + 1)
+    if not converged:
+        raise IterationLimitError(
+            f"no fixed point after {cap} iterations; a strategy is not monotone"
+        )
+    return state
 
 
 @dataclass(frozen=True)
@@ -279,43 +302,13 @@ def clear_pro_rata(net: FinancialNetwork, max_iterations: int | None = None) -> 
     total_weight = sum(e.weight for e in net.edges)
     if max_iterations is None:
         max_iterations = max(1, 10 * len(net.nodes) * total_weight.bit_length())
-    strategies = {
-        v: ProRataStrategy(v)
+    strategies = [
+        ProRataStrategy(v)
         for v in net.nodes
         if net.out_edges(v) and total_liabilities(net, v) > 0
-    }
-    assets = {
-        v: Fraction(
-            net.external(v)
-            + sum(e.weight for e in net.in_edges(v) if not e.is_unbounded())
-        )
-        for v in net.nodes
-    }
-    converged = False
-    iterations = 0
-    while iterations < max_iterations:
-        iterations += 1
-        internal = {v: Fraction(0) for v in net.nodes}
-        for u, strat in strategies.items():
-            paid = pro_rata_payment(strat, net, assets[u])
-            for e in net.out_edges(u):
-                internal[e.dst] += paid[e.id]
-        new_assets = {v: net.external(v) + internal[v] for v in net.nodes}
-        if new_assets == assets:
-            converged = True
-            break
-        assets = new_assets
-    internal = {v: Fraction(0) for v in net.nodes}
-    flows: dict[int, Fraction] = {}
-    for u, strat in strategies.items():
-        paid = pro_rata_payment(strat, net, assets[u])
-        flows.update(paid)
-        for e in net.out_edges(u):
-            internal[e.dst] += paid[e.id]
-    for v in net.nodes:
-        for e in net.out_edges(v):
-            flows.setdefault(e.id, Fraction(0))
-    state = ClearingState(
-        {v: net.external(v) + internal[v] for v in net.nodes}, internal, FlowAssignment(flows)
+    ]
+    top = {v: Fraction(a) for v, a in _top(net).items()}
+    state, iterations, converged = _iterate(
+        net, strategies, top, max_iterations, Fraction(0)
     )
     return ProRataResult(state, converged, iterations)

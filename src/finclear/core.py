@@ -167,9 +167,6 @@ class FinancialNetwork:
         except KeyError:
             raise UnknownNodeError(f"unknown edge id {edge_id}") from None
 
-    def has_edge(self, edge_id: EdgeId) -> bool:
-        return edge_id in self._by_id
-
     def external(self, v: NodeId) -> Money:
         return self.external_assets.get(v, 0)
 
@@ -243,55 +240,20 @@ def validate_network(net: FinancialNetwork) -> ValidationReport:
 
 
 @dataclass(frozen=True)
-class CirculationNetwork:
+class CirculationNetwork(FinancialNetwork):
     """A financial network augmented with a source node converting externals to flow.
 
     The source pays each firm its external assets over a capacity-a^x edge and
     absorbs every firm's surplus over an unbounded (firm, source) edge, so any
-    clearing state extends to an exact circulation.
+    clearing state extends to an exact circulation. ``nodes`` and ``edges``
+    are the augmented tuples (base first, then the source and its edges); the
+    externals live on the source's edges, so ``external_assets`` is empty.
     """
 
     base: FinancialNetwork
     source: NodeId
     source_in: tuple[LiabilityEdge, ...]  # (v, s), unbounded, one per firm
     source_out: tuple[LiabilityEdge, ...]  # (s, v), weight a^x_v, firms with a^x_v > 0
-    _out: dict = field(init=False, repr=False, compare=False)
-    _in: dict = field(init=False, repr=False, compare=False)
-    _by_id: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        out: dict[NodeId, list[LiabilityEdge]] = {v: [] for v in self.all_nodes()}
-        inc: dict[NodeId, list[LiabilityEdge]] = {v: [] for v in self.all_nodes()}
-        by_id: dict[EdgeId, LiabilityEdge] = {}
-        for e in self.all_edges():
-            by_id[e.id] = e
-            out[e.src].append(e)
-            inc[e.dst].append(e)
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_in", inc)
-        object.__setattr__(self, "_by_id", by_id)
-
-    def all_nodes(self) -> tuple[NodeId, ...]:
-        return self.base.nodes + (self.source,)
-
-    def all_edges(self) -> tuple[LiabilityEdge, ...]:
-        return self.base.edges + self.source_in + self.source_out
-
-    def out_edges(self, v: NodeId) -> tuple[LiabilityEdge, ...]:
-        if v not in self._out:
-            raise UnknownNodeError(f"unknown node {v!r}")
-        return tuple(self._out[v])
-
-    def in_edges(self, v: NodeId) -> tuple[LiabilityEdge, ...]:
-        if v not in self._in:
-            raise UnknownNodeError(f"unknown node {v!r}")
-        return tuple(self._in[v])
-
-    def edge(self, edge_id: EdgeId) -> LiabilityEdge:
-        try:
-            return self._by_id[edge_id]
-        except KeyError:
-            raise UnknownNodeError(f"unknown edge id {edge_id}") from None
 
     def surplus_edge(self, v: NodeId) -> LiabilityEdge:
         """The unbounded (v, source) edge carrying v's surplus."""
@@ -332,7 +294,16 @@ def build_circulation_network(net: FinancialNetwork) -> CirculationNetwork:
         if ext > 0:
             source_out.append(LiabilityEdge(next_id, source, v, ext))
             next_id += 1
-    return CirculationNetwork(net, source, tuple(source_in), tuple(source_out))
+    source_in, source_out = tuple(source_in), tuple(source_out)
+    return CirculationNetwork(
+        net.nodes + (source,),
+        {},
+        net.edges + source_in + source_out,
+        net,
+        source,
+        source_in,
+        source_out,
+    )
 
 
 @dataclass(frozen=True)
@@ -346,10 +317,6 @@ class FlowAssignment:
 
     def total(self) -> Money:
         return sum(self.flow.values())
-
-    def restricted_to(self, edge_ids: Iterable[EdgeId]) -> "FlowAssignment":
-        wanted = set(edge_ids)
-        return FlowAssignment({e: f for e, f in self.flow.items() if e in wanted})
 
 
 @dataclass(frozen=True)
@@ -411,7 +378,7 @@ def extend_flows_to_circulation(circ: CirculationNetwork, cs: ClearingState) -> 
 
 def check_conservation(circ: CirculationNetwork, flows: FlowAssignment) -> None:
     """Raise ConservationError at the first node (in canonical order) out of balance."""
-    for v in sorted_nodes(circ.all_nodes()):
+    for v in sorted_nodes(circ.nodes):
         inflow = sum(flows.get(e.id) for e in circ.in_edges(v))
         outflow = sum(flows.get(e.id) for e in circ.out_edges(v))
         if inflow != outflow:
@@ -450,11 +417,11 @@ def decompose_circulation(circ: CirculationNetwork, flows: FlowAssignment) -> Cy
         bad = min(e for e, f in flows.flow.items() if f < 0)
         raise InconsistentStateError(f"negative flow on edge {bad}")
     out_positive: dict[NodeId, list[LiabilityEdge]] = {}
-    for v in circ.all_nodes():
+    for v in circ.nodes:
         out_positive[v] = sorted(
             (e for e in circ.out_edges(v) if remaining.get(e.id, 0) > 0), key=lambda e: e.id
         )
-    order = sorted_nodes(circ.all_nodes())
+    order = sorted_nodes(circ.nodes)
     cycles: list[tuple[EdgeId, ...]] = []
     mults: list[Money] = []
     while True:

@@ -167,10 +167,10 @@ def max_value_circulation(circ: CirculationNetwork) -> FlowAssignment:
     extracted from the first (canonically smallest) node relaxed in the final
     Bellman-Ford pass. In the result every (source, firm) edge is saturated.
     """
-    nodes = sorted(circ.all_nodes(), key=node_key)
+    nodes = sorted(circ.nodes, key=node_key)
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
-    edges = sorted(circ.all_edges(), key=lambda e: e.id)
+    edges = sorted(circ.edges, key=lambda e: e.id)
     flow: dict[EdgeId, Money] = {e.id: 0 for e in edges}
 
     # arc = (tail, head, cost, edge, forward?)
@@ -218,13 +218,15 @@ def max_value_circulation(circ: CirculationNetwork) -> FlowAssignment:
             if cur == x:
                 break
         cycle.reverse()
-        assert sum(a[2] for a in cycle) < 0
+        if sum(a[2] for a in cycle) >= 0:
+            raise InconsistentStateError("extracted residual cycle is not negative")
         delta: Money | None = None
         for arc in cycle:
             r = residual(arc)
             if r is not None and (delta is None or r < delta):
                 delta = r
-        assert delta is not None and delta > 0
+        if delta is None or delta <= 0:
+            raise InconsistentStateError(f"cycle cancellation of size {delta}")
         for arc in cycle:
             _, _, _, e, forward = arc
             flow[e.id] += delta if forward else -delta
@@ -788,16 +790,16 @@ def min_max_cycle_d(
 
     aux_in = {e.src: e.id for e in circ.source_in}
     aux_out = {e.dst: e.id for e in circ.source_out}
-    all_ids = sorted(e.id for e in circ.all_edges())
+    all_ids = sorted(e.id for e in circ.edges)
     id_pos = {e: i for i, e in enumerate(all_ids)}
     adjacency: dict[NodeId, list[tuple[NodeId, EdgeId]]] = {
-        v: [] for v in circ.all_nodes()
+        v: [] for v in circ.nodes
     }
-    for e in circ.all_edges():
+    for e in circ.edges:
         adjacency[e.src].append((e.dst, e.id))
     for v in adjacency:
         adjacency[v].sort(key=lambda t: (node_key(t[0]), t[1]))
-    node_order = {v: i for i, v in enumerate(sorted(circ.all_nodes(), key=node_key))}
+    node_order = {v: i for i, v in enumerate(sorted(circ.nodes, key=node_key))}
 
     best: Money | None = None
     fallback: Money | None = None
@@ -810,7 +812,7 @@ def min_max_cycle_d(
         fallback = upper if fallback is None else min(fallback, upper)
         if upper <= 2:
             return upper
-        order = sorted(circ.all_nodes(), key=node_key)
+        order = sorted(circ.nodes, key=node_key)
 
         def feasible(limit: int) -> bool:
             memo: dict[tuple, bool] = {}
@@ -967,8 +969,10 @@ def welfare_metrics(
     canonical decomposition, flagged inexact.
     """
     exhaustive = True
-    circ = build_circulation_network(net)
-    fstar = max_value_circulation(circ)
+    # Edge space with d reads no circulation here; min_max_cycle_d builds its own.
+    if space is SearchSpace.THRESHOLD or not compute_d:
+        circ = build_circulation_network(net)
+        fstar = max_value_circulation(circ)
     if space is SearchSpace.THRESHOLD:
         opt = fstar.total() - net.total_external()
     else:

@@ -4,10 +4,12 @@ Three strategy kinds exist. Edge-ranking pays debts one ranked edge at a time
 to saturation. Threshold-ranking makes two passes over a ranking: first up to
 a per-edge threshold, then the remainders. Pro-rata splits proportionally and
 is the non-strategic baseline. Edge- and threshold-ranking are the monotone
-integer strategies the clearing and equilibrium machinery searches over; a
-monotone integer schedule on a network is equivalent to an edge ranking on the
-unit-edge expansion, and threshold rankings suffice to reproduce any such
-schedule's clearing outcome.
+integer strategies the clearing and equilibrium machinery searches over. Both
+are defined by one schedule, ``payment_segments``: an ordered list of
+(edge, length) segments that the firm's assets fill one unit at a time. An
+edge ranking is a threshold ranking with zero thresholds, and threshold
+rankings suffice to reproduce any monotone integer schedule's clearing
+outcome.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .core import (
     EdgeId,
     FinancialNetwork,
     FinclearError,
-    LiabilityEdge,
     Money,
     NodeId,
     UnboundedType,
@@ -34,13 +35,6 @@ from .core import (
 
 class StrategyError(FinclearError):
     pass
-
-
-class ExpansionLimitError(FinclearError):
-    pass
-
-
-DEFAULT_EXPANSION_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -167,68 +161,24 @@ def check_strategy(strat: Strategy, net: FinancialNetwork) -> None:
 def payment_segments(strat: RankingStrategy, net: FinancialNetwork) -> list[tuple[EdgeId, Money]]:
     """The strategy's payment schedule as positive-length (edge, length) segments.
 
-    Edge-ranking yields one segment per positive-weight edge; threshold-ranking
-    yields the pass-1 threshold segments followed by the pass-2 remainders.
+    Threshold-ranking yields the pass-1 threshold segments followed by the
+    pass-2 remainders; edge-ranking is threshold-ranking with zero thresholds,
+    so it yields one segment per positive-weight edge.
     Zero-length segments (zero-weight edges, zero thresholds, saturated
     thresholds) are dropped: they can never receive a unit.
     """
-    segments: list[tuple[EdgeId, Money]] = []
     if isinstance(strat, EdgeRankingStrategy):
-        for e_id in strat.ranking:
-            cap = net.edge(e_id).weight
-            if cap > 0:
-                segments.append((e_id, cap))
+        taus = dict.fromkeys(strat.ranking, 0)
     elif isinstance(strat, ThresholdRankingStrategy):
         taus = strat.threshold_map()
-        for e_id in strat.ranking:
-            tau = taus[e_id]
-            if tau > 0:
-                segments.append((e_id, tau))
-        for e_id in strat.ranking:
-            rest = net.edge(e_id).weight - taus[e_id]
-            if rest > 0:
-                segments.append((e_id, rest))
     else:
         raise StrategyError(f"no payment segments for {type(strat).__name__}")
-    return segments
-
-
-def _pay_segments(
-    segments: list[tuple[EdgeId, Money]], out_ids: Iterable[EdgeId], y: Money
-) -> dict[EdgeId, Money]:
-    paid = {e: 0 for e in out_ids}
-    left = y
-    for e_id, length in segments:
-        if left <= 0:
-            break
-        take = min(left, length)
-        paid[e_id] += take
-        left -= take
-    return paid
-
-
-def edge_ranking_payment(
-    strat: EdgeRankingStrategy, net: FinancialNetwork, y: Money
-) -> dict[EdgeId, Money]:
-    """Closed-form sequential payment: each ranked edge takes what remains of y, capped."""
-    if y < 0:
-        raise StrategyError("assets must be non-negative")
-    paid: dict[EdgeId, Money] = {}
-    prefix = 0
+    segments = [(e_id, taus[e_id]) for e_id in strat.ranking if taus[e_id] > 0]
     for e_id in strat.ranking:
-        cap = net.edge(e_id).weight
-        paid[e_id] = min(cap, max(0, y - prefix))
-        prefix += cap
-    return paid
-
-
-def threshold_ranking_payment(
-    strat: ThresholdRankingStrategy, net: FinancialNetwork, y: Money
-) -> dict[EdgeId, Money]:
-    """Two-pass schedule: thresholds in ranking order, then remainders, until y runs out."""
-    if y < 0:
-        raise StrategyError("assets must be non-negative")
-    return _pay_segments(payment_segments(strat, net), strat.ranking, y)
+        rest = net.edge(e_id).weight - taus[e_id]
+        if rest > 0:
+            segments.append((e_id, rest))
+    return segments
 
 
 def pro_rata_payment(
@@ -252,13 +202,25 @@ def pro_rata_payment(
 
 
 def payment_vector(strat: Strategy, net: FinancialNetwork, y) -> dict[EdgeId, Money]:
-    if isinstance(strat, EdgeRankingStrategy):
-        return edge_ranking_payment(strat, net, y)
-    if isinstance(strat, ThresholdRankingStrategy):
-        return threshold_ranking_payment(strat, net, y)
+    """Per-edge payments of the owner holding assets y.
+
+    A ranking strategy fills its ``payment_segments`` in order until y runs
+    out; pro-rata splits y proportionally.
+    """
     if isinstance(strat, ProRataStrategy):
         return pro_rata_payment(strat, net, y)
-    raise StrategyError(f"unsupported strategy type {type(strat).__name__}")
+    if y < 0:
+        raise StrategyError("assets must be non-negative")
+    segments = payment_segments(strat, net)
+    paid = {e: 0 for e in strat.ranking}
+    left = y
+    for e_id, length in segments:
+        if left <= 0:
+            break
+        take = min(left, length)
+        paid[e_id] += take
+        left -= take
+    return paid
 
 
 def active_segment(
@@ -273,9 +235,8 @@ def active_segment(
     """
     if paid_so_far < 0:
         raise StrategyError("paid_so_far must be non-negative")
-    base = net.base if isinstance(net, CirculationNetwork) else net
     cursor = paid_so_far
-    for e_id, length in payment_segments(strat, base):
+    for e_id, length in payment_segments(strat, net):
         if cursor < length:
             return SegmentCursor(strat.owner, paid_so_far, e_id, length - cursor)
         cursor -= length
@@ -283,36 +244,6 @@ def active_segment(
         surplus = net.surplus_edge(strat.owner)
         return SegmentCursor(strat.owner, paid_so_far, surplus.id, UNBOUNDED)
     return SegmentCursor(strat.owner, paid_so_far, None, UNBOUNDED)
-
-
-def expand_to_unit_edges(
-    net: FinancialNetwork, cap: int = DEFAULT_EXPANSION_CAP
-) -> tuple[FinancialNetwork, dict[EdgeId, EdgeId]]:
-    """Replace every weight-w edge with w parallel unit edges.
-
-    Zero-weight edges vanish. Returns the expanded network and a provenance
-    map from new edge ids back to the originating edge ids. The expansion is
-    pseudo-polynomial, so its size is capped.
-    """
-    total_units = 0
-    for e in net.edges:
-        if e.is_unbounded():
-            raise ExpansionLimitError(f"cannot unit-expand unbounded edge {e.id}")
-        total_units += e.weight
-    if total_units > cap:
-        raise ExpansionLimitError(
-            f"unit expansion needs {total_units} edges, cap is {cap}"
-        )
-    new_edges: list[LiabilityEdge] = []
-    provenance: dict[EdgeId, EdgeId] = {}
-    next_id = 0
-    for e in net.edges:
-        for _ in range(e.weight):
-            new_edges.append(LiabilityEdge(next_id, e.src, e.dst, 1))
-            provenance[next_id] = e.id
-            next_id += 1
-    expanded = FinancialNetwork.build(net.nodes, net.external_assets, new_edges)
-    return expanded, provenance
 
 
 def threshold_from_flows(
@@ -345,21 +276,19 @@ def threshold_from_flows(
 
 
 def behavior_signature(strat: RankingStrategy, net: FinancialNetwork) -> tuple:
-    """Node-aggregated payment table over all asset levels 0..l(owner).
+    """The payment segments as (destination, amount) runs, adjacent runs to
+    one destination merged.
 
-    Two strategies with equal signatures route the same amount of money to
-    every destination at every asset level, so they induce identical clearing
-    states in any profile. Enumeration spaces deduplicate on this.
+    These runs are the pieces of the node-aggregated payment table over asset
+    levels 0..l(owner), on each of which one destination's amount rises at
+    slope 1. So two strategies of one owner have equal signatures iff they
+    pay every destination alike at every asset level, and then they induce
+    identical clearing states in any profile. Enumeration dedupes on this.
     """
-    out = net.out_edges(strat.owner)
-    dests = sorted({e.dst for e in out}, key=node_key)
-    dest_index = {d: i for i, d in enumerate(dests)}
-    ell = total_liabilities(net, strat.owner)
-    rows: list[tuple[Money, ...]] = []
-    for y in range(ell + 1):
-        paid = payment_vector(strat, net, y)
-        row = [0] * len(dests)
-        for e in out:
-            row[dest_index[e.dst]] += paid[e.id]
-        rows.append(tuple(row))
-    return (tuple(dests), tuple(rows))
+    runs: list[tuple[NodeId, Money]] = []
+    for e_id, length in payment_segments(strat, net):
+        dst = net.edge(e_id).dst
+        if runs and runs[-1][0] == dst:
+            length += runs.pop()[1]
+        runs.append((dst, length))
+    return tuple(runs)

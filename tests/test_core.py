@@ -165,7 +165,7 @@ class TestCirculation:
         circ = build_circulation_network(net)
         cs = state_for(net, {0: 2, 1: 1})
         flows = extend_flows_to_circulation(circ, cs)
-        for v in circ.all_nodes():
+        for v in circ.nodes:
             inflow = sum(flows.get(e.id) for e in circ.in_edges(v))
             outflow = sum(flows.get(e.id) for e in circ.out_edges(v))
             assert inflow == outflow
@@ -181,5 +181,5 @@ class TestCirculation:
         assert all(m > 0 for m in decomp.multiplicity)
         recombined = decomp.recompose()
         assert all(
-            recombined.get(e.id) == flows.get(e.id) for e in circ.all_edges()
+            recombined.get(e.id) == flows.get(e.id) for e in circ.edges
         )

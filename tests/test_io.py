@@ -177,6 +177,30 @@ class TestCli:
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == "0 equilibria"
 
+    def test_enumeration_cost_does_not_grow_with_weights(self):
+        """a owes b and c 10^12 each; c holds 1 and owes a 1. a holds 1 under
+        either ranking and pays it on, so both rankings are equilibria with
+        revenue 3. Enumeration must not tabulate every asset level."""
+        w = 10**12
+        doc = {
+            "nodes": [
+                {"id": "a", "external": 0},
+                {"id": "b", "external": 0},
+                {"id": "c", "external": 1},
+            ],
+            "edges": [
+                {"id": 0, "src": "a", "dst": "b", "weight": w},
+                {"id": 1, "src": "a", "dst": "c", "weight": w},
+                {"id": 2, "src": "c", "dst": "a", "weight": 1},
+            ],
+            "strategies": [],
+        }
+        result = run_cli("enumerate", "--space", "edge", stdin=json.dumps(doc))
+        assert result.returncode == 0
+        lines = result.stdout.splitlines()
+        assert lines[0] == "2 equilibria"
+        assert sum("revenue = 3" in line for line in lines) == 2
+
     def test_ring_game_metrics(self):
         gen = run_cli("gen", "spoa", "--d", "5")
         result = run_cli("metrics", stdin=gen.stdout)

@@ -18,16 +18,12 @@ from finclear import (
     top_cycle_increase,
 )
 from finclear.strategies import (
-    ExpansionLimitError,
     StrategyError,
     behavior_signature,
-    edge_ranking_payment,
-    expand_to_unit_edges,
     payment_segments,
     payment_vector,
     pro_rata_payment,
     ProRataStrategy,
-    threshold_ranking_payment,
 )
 from _samplers import random_net, random_profile
 
@@ -69,14 +65,14 @@ class TestEdgeRanking:
     def test_sequential_saturation(self):
         net = fan_net()
         strat = EdgeRankingStrategy("d", (1, 0, 2))
-        assert edge_ranking_payment(strat, net, 4) == {1: 2, 0: 2, 2: 0}
+        assert payment_vector(strat, net, 4) == {1: 2, 0: 2, 2: 0}
 
     def test_payment_is_prefix_clipped(self):
         # Edge i takes min(cap_i, max(0, y - caps before it)) along the ranking.
         net = fan_net()
         strat = EdgeRankingStrategy("d", (0, 1, 2))
         for y in range(10):
-            paid = edge_ranking_payment(strat, net, y)
+            paid = payment_vector(strat, net, y)
             assert paid[0] == min(3, max(0, y))
             assert paid[1] == min(2, max(0, y - 3))
             assert paid[2] == min(4, max(0, y - 5))
@@ -87,8 +83,8 @@ class TestThresholdRanking:
         net = fan_net()
         strat = ThresholdRankingStrategy.of("d", (2, 0, 1), {0: 1, 1: 0, 2: 2})
         # Pass 1: 2 units to edge 2, 1 to edge 0. Pass 2: remainders 2, 2, 2.
-        assert threshold_ranking_payment(strat, net, 4) == {2: 3, 0: 1, 1: 0}
-        assert threshold_ranking_payment(strat, net, 9) == {2: 4, 0: 3, 1: 2}
+        assert payment_vector(strat, net, 4) == {2: 3, 0: 1, 1: 0}
+        assert payment_vector(strat, net, 9) == {2: 4, 0: 3, 1: 2}
 
     def test_zero_segments_dropped(self):
         net = fan_net()
@@ -160,21 +156,6 @@ def test_active_segment_names_the_next_unit(net_strat, y):
         assert more[cursor.active_edge] == paid[cursor.active_edge] + 1
 
 
-class TestUnitExpansion:
-    def test_provenance_partitions_weights(self):
-        net = fan_net()
-        expanded, prov = expand_to_unit_edges(net)
-        assert all(e.weight == 1 for e in expanded.edges)
-        for original in net.edges:
-            units = [u for u, o in prov.items() if o == original.id]
-            assert len(units) == original.weight
-
-    def test_expansion_cap(self):
-        net = FinancialNetwork.build(["a", "b"], {}, [(0, "a", "b", 50)])
-        with pytest.raises(ExpansionLimitError):
-            expand_to_unit_edges(net, cap=10)
-
-
 def test_behavior_signature_merges_equivalent_strategies():
     # Different rankings of parallel edges to the same creditor pay it identically.
     net = FinancialNetwork.build(
@@ -189,6 +170,53 @@ def test_behavior_signature_merges_equivalent_strategies():
     assert behavior_signature(
         EdgeRankingStrategy("d", (0, 1)), other
     ) != behavior_signature(EdgeRankingStrategy("d", (1, 0)), other)
+
+
+def _payment_table(strat, net: FinancialNetwork) -> list[dict[str, int]]:
+    """Amount paid to each destination at every asset level 0..l(owner)."""
+    out = net.out_edges(strat.owner)
+    rows = []
+    for y in range(sum(e.weight for e in out) + 1):
+        paid = payment_vector(strat, net, y)
+        row = {e.dst: 0 for e in out}
+        for e in out:
+            row[e.dst] += paid[e.id]
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def _one_firm_strategy_pair(draw):
+    """One debtor with parallel, zero-weight edges, and two of its strategies."""
+    weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    dsts = draw(
+        st.lists(
+            st.sampled_from(["x", "y", "z"]), min_size=len(weights), max_size=len(weights)
+        )
+    )
+    net = FinancialNetwork.build(
+        ["d", "x", "y", "z"],
+        {},
+        [(i, "d", dst, w) for i, (w, dst) in enumerate(zip(weights, dsts))],
+    )
+    ids = list(range(len(weights)))
+
+    def strategy():
+        ranking = tuple(draw(st.permutations(ids)))
+        if draw(st.booleans()):
+            return EdgeRankingStrategy("d", ranking)
+        taus = {i: draw(st.integers(0, weights[i])) for i in ids}
+        return ThresholdRankingStrategy.of("d", ranking, taus)
+
+    return net, strategy(), strategy()
+
+
+@given(_one_firm_strategy_pair())
+@settings(max_examples=400, deadline=None)
+def test_behavior_signature_equal_iff_payment_tables_equal(case):
+    net, a, b = case
+    same_signature = behavior_signature(a, net) == behavior_signature(b, net)
+    assert same_signature == (_payment_table(a, net) == _payment_table(b, net))
 
 
 # ---------------------------------------------------------------------------
