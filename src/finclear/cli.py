@@ -317,46 +317,49 @@ def _parse_clause(text: str, parser: argparse.ArgumentParser) -> tuple[int, ...]
 def _cmd_gen(args, parser: argparse.ArgumentParser) -> int:
     family = args.family
     profile: StrategyProfile | None = None
-    if family == "no-nash":
-        net, profile = gen_no_nash()
-    elif family == "spoa":
-        if args.d is None:
-            raise _UsageError(parser, "gen spoa requires --d")
-        net = gen_spoa_family(args.d)
-    elif family == "poa-unbounded":
-        net = gen_poa_unbounded()
-    elif family == "edge-spos":
-        if args.n is None or args.m is None:
-            raise _UsageError(parser, "gen edge-spos requires --n and --m")
-        net = gen_edge_spos_family(args.n, args.m)
-    elif family == "pos-unbounded":
-        if args.m is None:
-            raise _UsageError(parser, "gen pos-unbounded requires --m")
-        net = gen_pos_unbounded(args.m)
-    elif family == "sat":
-        if args.vars is None or not args.clause:
-            raise _UsageError(parser, "gen sat requires --vars and at least one --clause")
-        formula = SatFormula.of(
-            args.vars, [_parse_clause(c, parser) for c in args.clause]
-        )
-        net, profile, _ = gen_from_sat(formula)
-    elif family == "3dm":
-        if args.elements is None or args.variant is None:
-            raise _UsageError(parser, "gen 3dm requires --elements and --variant")
-        elements = _parse_clause(args.elements, parser)
-        triples = [_parse_clause(t, parser) for t in (args.triple or [])]
-        for t in triples:
-            if len(t) != 3:
-                raise _UsageError(parser, f"--triple needs exactly 3 elements, got {t}")
-        inst = ThreeDmInstance.of(elements, triples)
-        variant = (
-            ThreeDmVariant.BEST_RESPONSE
-            if args.variant == "best-response"
-            else ThreeDmVariant.DECISION
-        )
-        net, profile, _ = gen_from_3dm(inst, variant)
-    else:  # argparse choices make this unreachable
-        raise _UsageError(parser, f"unknown family '{family}'")
+    try:
+        if family == "no-nash":
+            net, profile = gen_no_nash()
+        elif family == "spoa":
+            if args.d is None:
+                raise _UsageError(parser, "gen spoa requires --d")
+            net = gen_spoa_family(args.d)
+        elif family == "poa-unbounded":
+            net = gen_poa_unbounded()
+        elif family == "edge-spos":
+            if args.n is None or args.m is None:
+                raise _UsageError(parser, "gen edge-spos requires --n and --m")
+            net = gen_edge_spos_family(args.n, args.m)
+        elif family == "pos-unbounded":
+            if args.m is None:
+                raise _UsageError(parser, "gen pos-unbounded requires --m")
+            net = gen_pos_unbounded(args.m)
+        elif family == "sat":
+            if args.vars is None or not args.clause:
+                raise _UsageError(parser, "gen sat requires --vars and at least one --clause")
+            formula = SatFormula.of(
+                args.vars, [_parse_clause(c, parser) for c in args.clause]
+            )
+            net, profile, _ = gen_from_sat(formula)
+        elif family == "3dm":
+            if args.elements is None or args.variant is None:
+                raise _UsageError(parser, "gen 3dm requires --elements and --variant")
+            elements = _parse_clause(args.elements, parser)
+            triples = [_parse_clause(t, parser) for t in (args.triple or [])]
+            for t in triples:
+                if len(t) != 3:
+                    raise _UsageError(parser, f"--triple needs exactly 3 elements, got {t}")
+            inst = ThreeDmInstance.of(elements, triples)
+            variant = (
+                ThreeDmVariant.BEST_RESPONSE
+                if args.variant == "best-response"
+                else ThreeDmVariant.DECISION
+            )
+            net, profile, _ = gen_from_3dm(inst, variant)
+        else:  # argparse choices make this unreachable
+            raise _UsageError(parser, f"unknown family '{family}'")
+    except ValueError as exc:  # a generator rejected a parameter value
+        raise _UsageError(parser, str(exc)) from None
     sys.stdout.write(render_document(net, profile))
     return EXIT_OK
 

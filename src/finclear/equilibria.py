@@ -1,17 +1,25 @@
 """Equilibrium analysis: optimal strong equilibria, best responses, verdicts, welfare.
 
 The socially optimal strong equilibrium comes from a maximum-value circulation
-(negative-cycle canceling with unit profit per edge) turned into threshold
-strategies. Best responses, Nash/strong verification, and full enumeration are
-exact desk-scale searches: deciding equilibrium existence and computing best
+turned into threshold strategies. The circulation is a unit-cost min-cost
+flow: start with every liability paid in full and route the overdrawn firms'
+excess payments, one cost unit per edge, to firms with slack, by primal-dual
+successive shortest paths (Dijkstra for the potentials, then a Dinic max-flow
+on the zero-reduced-cost arcs). At most n + 1 phases run, whatever the
+weights, and ties follow node ids and edge ids only.
+
+Best responses, Nash/strong verification, and full enumeration are exact
+desk-scale searches: deciding equilibrium existence and computing best
 responses are NP-hard in general, so every search carries an explicit budget
 and flags non-exhaustive results instead of truncating silently.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -161,76 +169,144 @@ def strategy_space(
 def max_value_circulation(circ: CirculationNetwork) -> FlowAssignment:
     """An integral circulation maximizing total flow over all edges.
 
-    Negative-cycle canceling with profit 1 per flow unit per edge: residual
-    forward arcs cost -1, backward arcs +1; cancel until no negative cycle
-    remains. Deterministic: arcs are scanned in edge-id order and cycles are
-    extracted from the first (canonically smallest) node relaxed in the final
-    Bellman-Ford pass. In the result every (source, firm) edge is saturated.
+    In every optimum each (source, firm) edge is saturated, so the value is
+    (flow on real edges) + 2 * (total external assets), and the task is to
+    maximize real flow subject to 0 <= f_e <= w_e and
+    out(v) - in(v) <= external(v) at every firm. Start with every real edge
+    full; a firm overdrawn by b(v) = out_w(v) - in_w(v) - external(v) > 0
+    must shed b(v). Taking a unit off edge u -> v relieves u and burdens v,
+    so reductions flow along the real edges at cost 1 per unit per edge,
+    from a super-source S (capacity b(v) into each overdrawn firm) to a
+    super-sink T (capacity -b(v) out of each firm with slack), and the
+    cheapest way to drain S is the optimum.
+
+    Primal-dual successive shortest paths: Dijkstra on reduced costs updates
+    the node potentials, then a Dinic max-flow runs on the zero-reduced-cost
+    arcs; repeat until S is drained. Every phase raises the S-T distance by
+    at least 1 and a simple path costs at most n, so there are at most n + 1
+    phases, and none depends on the weights. Deterministic: nodes in
+    ``node_key`` order, real arcs in edge-id order, S/T arcs in node order,
+    heap ties broken by node index. In the result every (source, firm) edge
+    is saturated and each (firm, source) edge carries the firm's surplus.
     """
-    nodes = sorted(circ.nodes, key=node_key)
+    net = circ.base
+    nodes = sorted(net.nodes, key=node_key)
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
-    edges = sorted(circ.edges, key=lambda e: e.id)
-    flow: dict[EdgeId, Money] = {e.id: 0 for e in edges}
+    S, T = n, n + 1
+    # Residual arcs in pairs: arc a and its reverse a ^ 1.
+    head: list[int] = []
+    cap: list[Money] = []
+    cost: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(n + 2)]
 
-    # arc = (tail, head, cost, edge, forward?)
-    arcs: list[tuple[int, int, int, object, bool]] = []
-    for e in edges:
-        arcs.append((index[e.src], index[e.dst], -1, e, True))
-        arcs.append((index[e.dst], index[e.src], 1, e, False))
+    def add_arc(u: int, v: int, capacity: Money, unit_cost: int) -> None:
+        adj[u].append(len(head))
+        head.extend((v, u))
+        cap.extend((capacity, 0))
+        cost.extend((unit_cost, -unit_cost))
+        adj[v].append(len(head) - 1)
 
-    def residual(arc) -> Money | None:
-        _, _, _, e, forward = arc
-        if forward:
-            if e.is_unbounded():
-                return None
-            return e.weight - flow[e.id]
-        return flow[e.id]
+    real = sorted(net.edges, key=lambda e: e.id)
+    overdraft = [-net.external(v) for v in nodes]
+    for e in real:  # arc 2k reduces edge real[k]; its residual is the flow
+        add_arc(index[e.src], index[e.dst], e.weight, 1)
+        overdraft[index[e.src]] += e.weight
+        overdraft[index[e.dst]] -= e.weight
+    for i, b in enumerate(overdraft):
+        if b > 0:
+            add_arc(S, i, b, 0)
+        elif b < 0:
+            add_arc(i, T, -b, 0)
+    to_shed = sum(b for b in overdraft if b > 0)
 
-    while True:
-        dist = [0] * n
-        pred: list = [None] * n
-        relaxed_last: list[int] = []
-        for rounds in range(n):
-            relaxed_last = []
-            for arc in arcs:
-                r = residual(arc)
-                if r is not None and r <= 0:
+    pot = [0] * (n + 2)
+
+    def admissible(a: int, u: int) -> bool:
+        return cap[a] > 0 and cost[a] + pot[u] == pot[head[a]]
+
+    while to_shed > 0:
+        dist: list[int | None] = [None] * (n + 2)
+        settled = [False] * (n + 2)
+        dist[S] = 0
+        heap = [(0, S)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if settled[u]:
+                continue
+            settled[u] = True
+            if u == T:
+                break
+            for a in adj[u]:
+                if cap[a] > 0:
+                    v = head[a]
+                    nd = d + cost[a] + pot[u] - pot[v]
+                    if dist[v] is None or nd < dist[v]:
+                        dist[v] = nd
+                        heapq.heappush(heap, (nd, v))
+        if not settled[T]:
+            raise InconsistentStateError(
+                f"no residual path drains the remaining overdraft {to_shed}"
+            )
+        reach = dist[T]
+        for v in range(n + 2):
+            pot[v] += dist[v] if settled[v] else reach
+
+        while True:  # Dinic on the zero-reduced-cost arcs
+            level: list[int | None] = [None] * (n + 2)
+            level[S] = 0
+            queue = deque([S])
+            while queue:
+                u = queue.popleft()
+                for a in adj[u]:
+                    v = head[a]
+                    if level[v] is None and admissible(a, u):
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            if level[T] is None:
+                break
+            nxt = [0] * (n + 2)
+            path: list[int] = []
+            u = S
+            while True:
+                if u == T:
+                    push = min(cap[a] for a in path)
+                    for a in path:
+                        cap[a] -= push
+                        cap[a ^ 1] += push
+                    to_shed -= push
+                    del path[next(k for k, a in enumerate(path) if cap[a] == 0):]
+                    u = head[path[-1]] if path else S
                     continue
-                u, w, cost, _, _ = arc
-                if dist[u] + cost < dist[w]:
-                    dist[w] = dist[u] + cost
-                    pred[w] = arc
-                    relaxed_last.append(w)
-            if not relaxed_last:
-                break
-        if not relaxed_last:
-            break
-        x = min(relaxed_last)
-        for _ in range(n):
-            x = pred[x][0]
-        cycle = []
-        cur = x
-        while True:
-            arc = pred[cur]
-            cycle.append(arc)
-            cur = arc[0]
-            if cur == x:
-                break
-        cycle.reverse()
-        if sum(a[2] for a in cycle) >= 0:
-            raise InconsistentStateError("extracted residual cycle is not negative")
-        delta: Money | None = None
-        for arc in cycle:
-            r = residual(arc)
-            if r is not None and (delta is None or r < delta):
-                delta = r
-        if delta is None or delta <= 0:
-            raise InconsistentStateError(f"cycle cancellation of size {delta}")
-        for arc in cycle:
-            _, _, _, e, forward = arc
-            flow[e.id] += delta if forward else -delta
-    return FlowAssignment(flow)
+                arcs = adj[u]
+                while nxt[u] < len(arcs):
+                    a = arcs[nxt[u]]
+                    if level[head[a]] == level[u] + 1 and admissible(a, u):
+                        break
+                    nxt[u] += 1
+                else:
+                    if u == S:
+                        break
+                    a = path.pop()
+                    u = head[a ^ 1]
+                    nxt[u] += 1
+                    continue
+                path.append(a)
+                u = head[a]
+
+    flow: dict[EdgeId, Money] = {}
+    surplus = [net.external(v) for v in nodes]
+    for k, e in enumerate(real):
+        flow[e.id] = cap[2 * k]
+        surplus[index[e.src]] -= cap[2 * k]
+        surplus[index[e.dst]] += cap[2 * k]
+    for e in circ.source_in:
+        if surplus[index[e.src]] < 0:
+            raise InconsistentStateError(f"firm {e.src!r} pays more than it holds")
+        flow[e.id] = surplus[index[e.src]]
+    for e in circ.source_out:
+        flow[e.id] = e.weight
+    return FlowAssignment({i: flow[i] for i in sorted(flow)})
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,7 +32,11 @@ from finclear import (
     top_cycle_increase,
     welfare_metrics,
 )
-from finclear.core import build_circulation_network, decompose_circulation
+from finclear.core import (
+    build_circulation_network,
+    check_conservation,
+    decompose_circulation,
+)
 from finclear.equilibria import max_value_circulation
 from _samplers import random_net, random_profile
 
@@ -285,3 +290,62 @@ def test_nash_witnesses_replay_exactly(seed):
     for member in report.witness.coalition:
         assert after.assets[member] == report.witness.after[member]
         assert report.witness.after[member] > report.witness.before[member]
+
+
+_NAMES = [f"n{i}" for i in range(1, 9)]
+_WEIGHTS = st.one_of(st.integers(0, 3), st.integers(0, 2**40))
+
+
+@st.composite
+def _weighted_networks(draw) -> FinancialNetwork:
+    """Up to 8 firms; repeated pairs give parallel edges, and zero weights occur."""
+    names = _NAMES[: draw(st.integers(2, len(_NAMES)))]
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+        lambda p: p[0] != p[1]
+    )
+    edges = draw(st.lists(st.tuples(pairs, _WEIGHTS), min_size=len(names), max_size=20))
+    externals = draw(st.dictionaries(st.sampled_from(names), _WEIGHTS))
+    return FinancialNetwork.build(
+        names, externals, [(i, u, v, w) for i, ((u, v), w) in enumerate(edges)]
+    )
+
+
+def _network_simplex_optimum(circ) -> int:
+    """Maximum total flow of the circulation network, by networkx's simplex."""
+    graph = nx.MultiDiGraph()
+    graph.add_nodes_from(circ.nodes)
+    for e in circ.edges:
+        if e.is_unbounded():
+            graph.add_edge(e.src, e.dst, weight=-1)
+        else:
+            graph.add_edge(e.src, e.dst, capacity=e.weight, weight=-1)
+    cost, _ = nx.network_simplex(graph)
+    return -cost
+
+
+@given(_weighted_networks())
+@settings(max_examples=200, deadline=None)
+def test_max_value_circulation_matches_network_simplex(net):
+    circ = build_circulation_network(net)
+    fstar = max_value_circulation(circ)
+    assert fstar.total() == _network_simplex_optimum(circ)
+    for e in circ.edges:
+        assert fstar.get(e.id) >= 0
+        if not e.is_unbounded():
+            assert fstar.get(e.id) <= e.weight
+    check_conservation(circ, fstar)
+    for e in circ.source_out:
+        assert fstar.get(e.id) == e.weight
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_no_d_bound_never_undercuts_the_exact_d(seed):
+    """Without d, metrics reports the longest cycle of one decomposition of
+    one optimum; the exact d minimizes over all of them, so it is no larger."""
+    rng = random.Random(seed)
+    net = random_net(rng, max_nodes=4, max_edges=6, max_weight=2)
+    exact = min_max_cycle_d(net)
+    if not exact.exact:
+        return
+    assert welfare_metrics(net, compute_d=False).d_bound >= exact.value

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 
@@ -242,6 +243,22 @@ class TestCli:
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
 
+    def test_opt_se_ignores_document_order(self):
+        """The optimum of gen pos-unbounded is not unique, so the thresholds
+        opt-se prints depend on tie-breaking; that must follow node and edge
+        ids, never the order in which the document lists them."""
+        doc = run_cli("gen", "pos-unbounded", "--m", "10").stdout
+        base = run_cli("opt-se", stdin=doc)
+        assert base.returncode == 0
+        rng = random.Random(5)
+        for _ in range(3):
+            payload = json.loads(doc)
+            rng.shuffle(payload["nodes"])
+            rng.shuffle(payload["edges"])
+            shuffled = run_cli("opt-se", stdin=json.dumps(payload))
+            assert shuffled.returncode == 0
+            assert shuffled.stdout == base.stdout
+
     def test_clearing_ignores_the_seed(self, fixtures_dir, cli_env):
         doc = run_cli("gen", "poa-unbounded").stdout
         base = None
@@ -274,3 +291,17 @@ class TestCli:
         assert run_cli("gen", "spoa").returncode == 64
         assert run_cli("gen", "sat", "--vars", "2").returncode == 64
         assert run_cli("gen", "3dm", "--elements", "1,2,3").returncode == 64
+        # Present but out of range: the generators' ValueErrors are usage errors.
+        for argv in (
+            "3dm --elements 1,2 --triple 1,2,3 --variant best-response",
+            "3dm --elements 1,1,2 --triple 1,1,2 --variant decision",
+            "3dm --elements 1,2,3 --triple 1,2,4 --variant decision",
+            "sat --vars 2 --clause 1,5",
+            "sat --vars 2 --clause 0,1",
+            "spoa --d 1",
+            "edge-spos --n 1 --m 3",
+            "pos-unbounded --m -1",
+        ):
+            result = run_cli("gen", *argv.split())
+            assert result.returncode == 64, argv
+            assert "Traceback" not in result.stderr, argv
