@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 NodeId = str
 EdgeId = int
@@ -172,12 +172,6 @@ class FinancialNetwork:
 
     def total_external(self) -> Money:
         return sum(self.external_assets.get(v, 0) for v in self.nodes)
-
-    def with_external(self, v: NodeId, amount: Money) -> "FinancialNetwork":
-        """A copy of this network with one firm's external assets replaced."""
-        ext = dict(self.external_assets)
-        ext[v] = amount
-        return FinancialNetwork.build(self.nodes, ext, self.edges)
 
 
 def total_liabilities(net: FinancialNetwork, v: NodeId) -> Money:
@@ -358,24 +352,6 @@ def revenue(net: FinancialNetwork, cs: ClearingState) -> Money:
     return sum(cs.assets.get(v, 0) for v in net.nodes)
 
 
-def extend_flows_to_circulation(circ: CirculationNetwork, cs: ClearingState) -> FlowAssignment:
-    """Extend a clearing state's real-edge flows with auxiliary-edge flows.
-
-    Every (s, v) edge is saturated (external assets enter in full) and each
-    (v, s) edge carries v's unspent assets, making the result conservative at
-    every node of the circulation network, the source included.
-    """
-    net = circ.base
-    full = dict(cs.flows.flow)
-    for e in circ.source_out:
-        full[e.id] = e.weight
-    for e in circ.source_in:
-        v = e.src
-        paid = sum(cs.flows.get(out.id) for out in net.out_edges(v))
-        full[e.id] = cs.assets.get(v, 0) - paid
-    return FlowAssignment(full)
-
-
 def check_conservation(circ: CirculationNetwork, flows: FlowAssignment) -> None:
     """Raise ConservationError at the first node (in canonical order) out of balance."""
     for v in sorted_nodes(circ.nodes):
@@ -391,13 +367,6 @@ class CycleDecomposition:
 
     cycles: tuple[tuple[EdgeId, ...], ...]
     multiplicity: tuple[Money, ...]
-
-    def recompose(self) -> FlowAssignment:
-        flow: dict[EdgeId, Money] = {}
-        for cycle, mult in zip(self.cycles, self.multiplicity):
-            for e in cycle:
-                flow[e] = flow.get(e, 0) + mult
-        return FlowAssignment(flow)
 
     def max_cycle_length(self) -> int:
         return max((len(c) for c in self.cycles), default=0)

@@ -93,73 +93,140 @@ class _Meter:
 
 
 class _Game:
-    """Shared search state: one circulation network, one clearing cache, one meter.
+    """One payoff table per game, built once per public call; every search reads it.
 
-    Clearing results are memoized by profile signature; deviation profiles
-    revisit enumerated profiles constantly, so the cache is what keeps
-    exhaustive checks desk-scale. Only cache misses are charged.
+    A firm's tuple of strategies is built on first use: its deduplicated
+    ``strategy_space`` (the ``space_size[v]`` entries that are searched),
+    then its given or ``fixed`` strategy if none of them behaves like it. A
+    profile is a mixed-radix int over indices into these tuples, counted
+    from the given profile (code 0): v at index i adds (i - home_v) *
+    stride_v, home_v being the index of v's given strategy (0 if none). A
+    firm never searched keeps its given strategy and adds no digit. Each
+    new tuple becomes the most significant digit, which leaves stored codes
+    valid; ``codes`` builds its firms' tuples last one first, so the first
+    firm in ``net.nodes`` order is most significant and codes come in
+    ``itertools.product`` order. The table holds one asset tuple (in
+    ``net.nodes`` order) per code, cleared by ``clear_circulation`` on the
+    first lookup. The meter is charged per strategy candidate as a tuple is
+    built and per table miss: each candidate and each distinct profile is
+    charged once per game.
     """
 
-    def __init__(self, net: FinancialNetwork, budget: SearchBudget) -> None:
+    def __init__(
+        self,
+        net: FinancialNetwork,
+        budget: SearchBudget,
+        space: SearchSpace,
+        given: Mapping[NodeId, RankingStrategy] | StrategyProfile | None,
+    ) -> None:
         self.net = net
+        self.space = space
         self.circ = build_circulation_network(net)
         self.meter = _Meter(budget)
-        self.cache: dict[tuple, ClearingState] = {}
+        if isinstance(given, StrategyProfile):
+            given = given.strategies
+        self.given = dict(given or {})
+        self.firms = [v for v in net.nodes if net.out_edges(v)]
+        self.at = {v: i for i, v in enumerate(net.nodes)}
+        self.options: dict[NodeId, tuple[RankingStrategy, ...]] = {}
+        self.space_size: dict[NodeId, int] = {}
+        self.home: dict[NodeId, int | None] = {}
+        self.stride: dict[NodeId, int] = {}
+        self.radix = 1  # product of the radices of the tuples built so far
+        self.offset = 0  # sum of home_v * stride_v: code + offset is plain mixed radix
+        self.table: dict[int, tuple[Money, ...]] = {}
 
-    def clear(self, profile: StrategyProfile) -> ClearingState:
-        key = profile.signature()
-        state = self.cache.get(key)
-        if state is None:
+    def strategies(self, v: NodeId) -> tuple[RankingStrategy, ...]:
+        opts = self.options.get(v)
+        if opts is not None:
+            return opts
+        opts = strategy_space(self.net, v, self.space, meter=self.meter)
+        self.space_size[v] = len(opts)
+        home = None
+        given = self.given.get(v)
+        if isinstance(given, (EdgeRankingStrategy, ThresholdRankingStrategy)):
+            sigs = [behavior_signature(s, self.net) for s in opts + (given,)]
+            home = sigs.index(sigs[-1])
+            if home == len(opts):
+                opts += (given,)
+        self.options[v], self.home[v], self.stride[v] = opts, home, self.radix
+        self.offset += (home or 0) * self.radix
+        self.radix *= len(opts)
+        return opts
+
+    def index(self, code: int, v: NodeId) -> int:
+        """The index of v's strategy in the profile ``code``."""
+        return (code + self.offset) // self.stride[v] % len(self.options[v])
+
+    def move(self, code: int, v: NodeId, i: int) -> int:
+        """The profile ``code`` with v switched to its strategy ``i``."""
+        return code + (i - self.index(code, v)) * self.stride[v]
+
+    def codes(self, firms: Sequence[NodeId]) -> Iterable[int]:
+        """Every profile varying ``firms`` over their searched strategies,
+        the others at their given ones, in ``itertools.product`` order."""
+        for v in reversed(firms):
+            self.strategies(v)
+        digits = [
+            [(i - (self.home[v] or 0)) * self.stride[v] for i in range(self.space_size[v])]
+            for v in firms
+        ]
+        return map(sum, itertools.product(*digits))
+
+    def profile(self, code: int) -> StrategyProfile:
+        strategies = dict(self.given)
+        for v in self.firms:
+            if v in self.options:
+                i = self.index(code, v)
+                if i != self.home[v]:
+                    strategies[v] = self.options[v][i]
+        return StrategyProfile(strategies)
+
+    def clear(self, code: int) -> tuple[Money, ...]:
+        assets = self.table.get(code)
+        if assets is None:
             self.meter.charge()
-            state = clear_circulation(self.circ, profile)
-            self.cache[key] = state
-        return state
+            state = clear_circulation(self.circ, self.profile(code))
+            assets = tuple(state.assets[v] for v in self.net.nodes)
+            self.table[code] = assets
+        return assets
 
 
 def strategy_space(
     net: FinancialNetwork,
     v: NodeId,
     space: SearchSpace,
-    dedupe: bool = True,
     meter: "_Meter | None" = None,
 ) -> tuple[RankingStrategy, ...]:
     """All candidate strategies for one firm, in canonical order.
 
     Edge space: permutations of the outgoing edge ids in lexicographic order.
     Threshold space: for each permutation, every threshold vector, ascending.
-    With ``dedupe`` (the default for searches) candidates are collapsed by
-    their node-aggregated payment behavior; clearing states depend on
-    strategies only through that, so dropping behavioral duplicates never
-    changes a verdict, and keeping first occurrences preserves canonical
-    tie-breaking.
+    Candidates are collapsed by their node-aggregated payment behavior;
+    clearing states depend on strategies only through that, so dropping
+    behavioral duplicates never changes a verdict, and keeping first
+    occurrences preserves canonical tie-breaking.
     """
     out_ids = sorted(e.id for e in net.out_edges(v))
     if not out_ids:
         return ()
 
-    def candidates() -> Iterable[RankingStrategy]:
-        if space is SearchSpace.EDGE:
-            for perm in itertools.permutations(out_ids):
-                yield EdgeRankingStrategy(v, perm)
-        else:
-            ranges = [range(net.edge(i).weight + 1) for i in out_ids]
-            for perm in itertools.permutations(out_ids):
-                for taus in itertools.product(*ranges):
-                    yield ThresholdRankingStrategy.of(v, perm, dict(zip(out_ids, taus)))
-
-    kept: list[RankingStrategy] = []
-    seen: set = set()
-    for strat in candidates():
+    perms = itertools.permutations(out_ids)
+    if space is SearchSpace.EDGE:
+        candidates: Iterable[RankingStrategy] = (EdgeRankingStrategy(v, p) for p in perms)
+    else:
+        ranges = [range(net.edge(i).weight + 1) for i in out_ids]
+        candidates = (
+            ThresholdRankingStrategy.of(v, p, dict(zip(out_ids, taus)))
+            for p in perms
+            for taus in itertools.product(*ranges)
+        )
+    kept: dict[tuple, RankingStrategy] = {}
+    for strat in candidates:
         if meter is not None:
             meter.charge()
-        if not dedupe:
-            kept.append(strat)
-            continue
-        sig = behavior_signature(strat, net)
-        if sig not in seen:
-            seen.add(sig)
-            kept.append(strat)
-    return tuple(kept)
+        kept.setdefault(behavior_signature(strat, net), strat)
+    return tuple(kept.values())
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +442,10 @@ class _ExactPayoffs:
     conservation bounds the extra inflow at v by the one extra unit v emits.
     """
 
-    def __init__(self, game: _Game, v: NodeId, profile: StrategyProfile):
+    def __init__(self, game: _Game, v: NodeId):
         self.game = game
         self.v = v
-        self.others = {
-            owner: s for owner, s in profile.strategies.items() if owner != v
-        }
+        self.others = {owner: s for owner, s in game.given.items() if owner != v}
         self._cache: dict[tuple[EdgeId, ...], Money] = {}
 
     def inflow(self, subset: Sequence[EdgeId]) -> Money:
@@ -414,7 +479,7 @@ def _subset_ranking(
 
 
 def _best_response_unit_subsets(
-    game: _Game, profile: StrategyProfile, v: NodeId
+    game: _Game, v: NodeId
 ) -> tuple[EdgeRankingStrategy, Money, bool]:
     """Exact best response over edge rankings when all out-edges have weight <= 1.
 
@@ -428,13 +493,15 @@ def _best_response_unit_subsets(
     superset is (the Lipschitz property), which prunes the subtree, and the
     value of a subtree is bounded by the current value plus the edges left.
     Ties break to the smallest paid set, by size then lexicographic order.
+    The search charges each subset it clears; the closing check that the
+    ranking reproduces the value is not a candidate and is not charged.
     """
     net = game.net
     ext = net.external(v)
     out_ids = sorted(e.id for e in net.out_edges(v))
     unit_ids = [e for e in out_ids if net.edge(e).weight == 1]
     zero_ids = [e for e in out_ids if net.edge(e).weight == 0]
-    payoffs = _ExactPayoffs(game, v, profile)
+    payoffs = _ExactPayoffs(game, v)
 
     best_val = ext + payoffs.inflow(())
     best_set: tuple[EdgeId, ...] = ()
@@ -500,7 +567,7 @@ def _best_response_unit_subsets(
 
     strategy = EdgeRankingStrategy(v, _subset_ranking(best_set, unit_ids, zero_ids))
     if not exhausted:
-        check = game.clear(profile.replace(strategy))
+        check = clear_circulation(game.circ, StrategyProfile({**game.given, v: strategy}))
         if check.assets[v] != best_val:
             raise InconsistentStateError(
                 "subset search value does not match the cleared best response"
@@ -508,34 +575,35 @@ def _best_response_unit_subsets(
     return strategy, best_val, not exhausted
 
 
-def _best_response(
-    game: _Game, profile: StrategyProfile, v: NodeId, space: SearchSpace
-) -> BestResponse:
+def _best_response(game: _Game, v: NodeId) -> BestResponse:
+    """v's best response against the game's given profile: the first best
+    strategy of v's searched tuple, walked as the codes (i - home_v) * stride_v."""
     net = game.net
     if not net.out_edges(v):
         raise FinclearError(f"{v!r} has no outgoing edges; nothing to optimize")
     used_before = game.meter.used
-    current = profile.strategy_for(v)
-    if current is not None and isinstance(current, (EdgeRankingStrategy, ThresholdRankingStrategy)):
-        base = game.clear(profile)
-        if base.assets[v] >= total_liabilities(net, v):
+    current = game.given.get(v)
+    if isinstance(current, (EdgeRankingStrategy, ThresholdRankingStrategy)):
+        base = game.clear(0)[game.at[v]]
+        if base >= total_liabilities(net, v):
             # A solvent firm's strategy never changes the clearing state.
-            return BestResponse(current, base.assets[v], True, game.meter.used - used_before)
+            return BestResponse(current, base, True, game.meter.used - used_before)
 
     all_unit = all(e.weight <= 1 for e in net.out_edges(v))
-    if space is SearchSpace.EDGE and all_unit:
-        strategy, value, exhaustive = _best_response_unit_subsets(game, profile, v)
+    if game.space is SearchSpace.EDGE and all_unit:
+        strategy, value, exhaustive = _best_response_unit_subsets(game, v)
         return BestResponse(strategy, value, exhaustive, game.meter.used - used_before)
 
     best_strat: RankingStrategy | None = None
     best_val: Money = -1
     exhausted = False
     try:
-        for strat in strategy_space(net, v, space, dedupe=True, meter=game.meter):
-            state = game.clear(profile.replace(strat))
-            if state.assets[v] > best_val:
-                best_val = state.assets[v]
-                best_strat = strat
+        opts = game.strategies(v)
+        for i in range(game.space_size[v]):
+            value = game.clear(game.move(0, v, i))[game.at[v]]
+            if value > best_val:
+                best_val = value
+                best_strat = opts[i]
     except _Exhausted:
         exhausted = True
     if best_strat is None:
@@ -556,9 +624,9 @@ def best_response_exact(
     Other firms' strategies stay fixed. On budget exhaustion the best strategy
     found so far is returned with ``exhaustive=False``.
     """
-    game = _Game(net, budget)
+    game = _Game(net, budget, space, profile)
     try:
-        return _best_response(game, profile, v, space)
+        return _best_response(game, v)
     except _Exhausted:
         out_ids = tuple(sorted(e.id for e in net.out_edges(v)))
         return BestResponse(EdgeRankingStrategy(v, out_ids), 0, False, game.meter.used)
@@ -586,16 +654,11 @@ class EquilibriumReport:
     exhaustive: bool
 
 
-def _strategic_firms(net: FinancialNetwork, base: ClearingState) -> list[NodeId]:
-    """Firms whose strategy can matter: outgoing edges, insolvent in the base state."""
-    firms = []
-    for v in net.nodes:
-        if not net.out_edges(v):
-            continue
-        if base.assets[v] >= total_liabilities(net, v):
-            continue
-        firms.append(v)
-    return firms
+def _insolvent_firms(game: _Game, assets: Sequence[Money]) -> list[NodeId]:
+    """Firms whose strategy can matter: outgoing edges, insolvent in the state."""
+    return [
+        v for v in game.firms if assets[game.at[v]] < total_liabilities(game.net, v)
+    ]
 
 
 def is_nash(
@@ -611,67 +674,73 @@ def is_nash(
     conclusively; a NASH verdict is exhaustive only if every search finished
     within budget.
     """
-    game = _Game(net, budget)
-    try:
-        base = game.clear(profile)
-    except _Exhausted:
-        return EquilibriumReport(Verdict.NASH, None, space, False)
+    game = _Game(net, budget, space, profile)
     exhaustive = True
-    for v in _strategic_firms(net, base):
-        br = _best_response(game, profile, v, space)
-        exhaustive = exhaustive and br.exhaustive
-        if br.value > base.assets[v]:
-            witness = DeviationWitness(
-                (v,), {v: br.strategy}, {v: base.assets[v]}, {v: br.value}
-            )
-            return EquilibriumReport(Verdict.NOT_NASH, witness, space, True)
+    try:
+        base = game.clear(0)
+        for v in _insolvent_firms(game, base):
+            br = _best_response(game, v)
+            exhaustive = exhaustive and br.exhaustive
+            before = base[game.at[v]]
+            if br.value > before:
+                witness = DeviationWitness((v,), {v: br.strategy}, {v: before}, {v: br.value})
+                return EquilibriumReport(Verdict.NOT_NASH, witness, space, True)
+    except _Exhausted:  # the subset search can run out before it has a value
+        exhaustive = False
     return EquilibriumReport(Verdict.NASH, None, space, exhaustive)
 
 
-def _coalition_members(
-    net: FinancialNetwork, spaces: Mapping[NodeId, tuple[RankingStrategy, ...]]
-) -> list[NodeId]:
-    """Firms that can actually participate in a profitable coalition.
+def _coalition_members(game: _Game, assets: Sequence[Money]) -> list[NodeId]:
+    """Firms that can belong to the first profitable coalition found.
 
-    Firms with a single behavior cannot change anything; firms solvent on
-    external assets alone stay solvent under every profile, so their strategy
-    never matters. Coalitions over the remaining firms decide the verdict:
-    passive beneficiaries can be dropped from any profitable coalition.
+    These are the firms insolvent in the base state ``assets`` with at least
+    two strategies (a single behavior cannot change anything). Dropping the
+    others changes no verdict and no witness:
+
+    * A coalition member v that is solvent in the base state and strictly
+      gains is solvent in the deviated state too.
+    * A solvent firm's strategy leaves the maximal clearing state unchanged:
+      the state is still a fixed point under any strategy of v, so the
+      maximal state with another strategy dominates it, keeps v solvent,
+      and is therefore a fixed point of the first profile as well.
+    * So if v acts alone its state is the base state and it does not gain;
+      otherwise the coalition without v reaches the same state, every other
+      member still strictly gains, and that smaller coalition is tested
+      first, since coalitions are tried by ascending size.
+    * The first witness therefore has no such member, and the coalitions
+      and joint deviations tried before it over the kept firms are, in
+      order, a subsequence of those tried over all firms. Verdicts and
+      witnesses are identical.
     """
     members = []
-    for v in sorted(spaces, key=node_key):
-        if len(spaces[v]) < 2:
-            continue
-        if net.external(v) >= total_liabilities(net, v):
-            continue
-        members.append(v)
+    for v in sorted(_insolvent_firms(game, assets), key=node_key):
+        game.strategies(v)
+        if game.space_size[v] >= 2:
+            members.append(v)
     return members
 
 
-def _is_strong(
-    game: _Game, profile: StrategyProfile, space: SearchSpace
-) -> EquilibriumReport:
-    net = game.net
-    base = game.clear(profile)
-    spaces = {
-        v: strategy_space(net, v, space, dedupe=True, meter=game.meter)
-        for v in net.nodes
-        if net.out_edges(v)
-    }
-    members = _coalition_members(net, spaces)
+def _is_strong(game: _Game, code: int) -> EquilibriumReport:
+    base = game.clear(code)
+    members = _coalition_members(game, base)
+    at, stride, options = game.at, game.stride, game.options
     for size in range(1, len(members) + 1):
         for coalition in itertools.combinations(members, size):
-            for combo in itertools.product(*(spaces[v] for v in coalition)):
-                state = game.clear(profile.replace(*combo))
-                if all(state.assets[v] > base.assets[v] for v in coalition):
+            start = code - sum(game.index(code, v) * stride[v] for v in coalition)
+            digits = [
+                [i * stride[v] for i in range(game.space_size[v])] for v in coalition
+            ]
+            for combo in itertools.product(*digits):
+                after = game.clear(start + sum(combo))
+                if all(after[at[v]] > base[at[v]] for v in coalition):
                     witness = DeviationWitness(
                         coalition,
-                        {s.owner: s for s in combo},
-                        {v: base.assets[v] for v in coalition},
-                        {v: state.assets[v] for v in coalition},
+                        {v: options[v][d // stride[v]] for v, d in zip(coalition, combo)},
+                        {v: base[at[v]] for v in coalition},
+                        {v: after[at[v]] for v in coalition},
                     )
-                    return EquilibriumReport(Verdict.NOT_STRONG, witness, space, True)
-    return EquilibriumReport(Verdict.STRONG, None, space, True)
+                    return EquilibriumReport(Verdict.NOT_STRONG, witness, game.space, True)
+    return EquilibriumReport(Verdict.STRONG, None, game.space, True)
 
 
 def is_strong_equilibrium(
@@ -689,25 +758,15 @@ def is_strong_equilibrium(
     reproduced by threshold strategies, so an exhaustive threshold verdict
     certifies the full game.
     """
-    game = _Game(net, budget)
+    game = _Game(net, budget, space, profile)
     try:
-        return _is_strong(game, profile, space)
+        return _is_strong(game, 0)
     except _Exhausted:
         return EquilibriumReport(Verdict.STRONG, None, space, False)
 
 
 # ---------------------------------------------------------------------------
 # Enumeration and social optimum
-
-
-def _fixed_map(
-    fixed: Mapping[NodeId, RankingStrategy] | StrategyProfile | None,
-) -> dict[NodeId, RankingStrategy]:
-    if fixed is None:
-        return {}
-    if isinstance(fixed, StrategyProfile):
-        return dict(fixed.strategies)
-    return dict(fixed)
 
 
 @dataclass(frozen=True)
@@ -721,6 +780,40 @@ class EquilibriumFinding:
 class EnumerationResult:
     findings: tuple[EquilibriumFinding, ...]
     exhaustive: bool
+
+
+def _enumerate(
+    game: _Game, check_strong: bool
+) -> tuple[list[tuple[int, EquilibriumReport]], Money | None, bool]:
+    """One pass over every profile of the non-fixed firms, in product order.
+
+    Returns the equilibria as (code, report), the highest revenue of any
+    profile of the pass (None if none was cleared), and whether the pass
+    finished within budget.
+    """
+    firms = [v for v in game.firms if v not in game.given]
+    found: list[tuple[int, EquilibriumReport]] = []
+    best: Money | None = None
+    try:
+        for code in game.codes(firms):
+            assets = game.clear(code)
+            if best is None or sum(assets) > best:
+                best = sum(assets)
+            if any(
+                game.clear(game.move(code, v, i))[game.at[v]] > assets[game.at[v]]
+                for v in _insolvent_firms(game, assets)
+                for i in range(len(game.strategies(v)))
+                if i != game.index(code, v)
+            ):
+                continue
+            if check_strong:
+                report = _is_strong(game, code)
+            else:
+                report = EquilibriumReport(Verdict.NASH, None, game.space, True)
+            found.append((code, report))
+    except _Exhausted:
+        return found, best, False
+    return found, best, True
 
 
 def enumerate_equilibria(
@@ -738,45 +831,14 @@ def enumerate_equilibria(
     reported equilibria are equilibria of the full game. An empty, exhaustive
     result certifies non-existence within the space.
     """
-    fixed = _fixed_map(fixed)
-    game = _Game(net, budget)
-    enum_firms = [
-        v for v in net.nodes if net.out_edges(v) and v not in fixed
-    ]
-    findings: list[EquilibriumFinding] = []
-    exhaustive = True
-    try:
-        spaces = {
-            v: strategy_space(net, v, space, dedupe=True, meter=game.meter)
-            for v in enum_firms
-        }
-        check_spaces = dict(spaces)
-        for v in fixed:
-            if net.out_edges(v):
-                check_spaces[v] = strategy_space(net, v, space, dedupe=True, meter=game.meter)
-        for combo in itertools.product(*(spaces[v] for v in enum_firms)):
-            profile = StrategyProfile.of({**fixed, **{s.owner: s for s in combo}})
-            state = game.clear(profile)
-            nash = True
-            for v in _strategic_firms(net, state):
-                current = profile.strategy_for(v)
-                for alt in check_spaces[v]:
-                    if alt == current:
-                        continue
-                    if game.clear(profile.replace(alt)).assets[v] > state.assets[v]:
-                        nash = False
-                        break
-                if not nash:
-                    break
-            if not nash:
-                continue
-            if check_strong:
-                report = _is_strong(game, profile, space)
-            else:
-                report = EquilibriumReport(Verdict.NASH, None, space, True)
-            findings.append(EquilibriumFinding(profile, state, report))
-    except _Exhausted:
-        exhaustive = False
+    game = _Game(net, budget, space, fixed)
+    found, _, exhaustive = _enumerate(game, check_strong)
+    findings = []
+    for code, report in found:
+        profile = game.profile(code)
+        findings.append(
+            EquilibriumFinding(profile, clear_circulation(game.circ, profile), report)
+        )
     return EnumerationResult(tuple(findings), exhaustive)
 
 
@@ -793,30 +855,19 @@ def social_optimum_edge_ranking(
     fixed: Mapping[NodeId, RankingStrategy] | StrategyProfile | None = None,
 ) -> SocialOptimum:
     """Exhaustive revenue maximization over edge-ranking profiles."""
-    fixed = _fixed_map(fixed)
-    game = _Game(net, budget)
-    firms = [v for v in net.nodes if net.out_edges(v) and v not in fixed]
-    best_profile: StrategyProfile | None = None
-    best_rev = -1
-    exhaustive = True
+    game = _Game(net, budget, SearchSpace.EDGE, fixed)
+    best_code: int | None = None
+    best_rev, exhaustive = -1, True
     try:
-        spaces = {
-            v: strategy_space(net, v, SearchSpace.EDGE, dedupe=True, meter=game.meter)
-            for v in firms
-        }
-        for combo in itertools.product(*(spaces[v] for v in firms)):
-            profile = StrategyProfile.of({**fixed, **{s.owner: s for s in combo}})
-            state = game.clear(profile)
-            rev = sum(state.assets[v] for v in net.nodes)
+        for code in game.codes([v for v in game.firms if v not in game.given]):
+            rev = sum(game.clear(code))
             if rev > best_rev:
-                best_rev = rev
-                best_profile = profile
+                best_rev, best_code = rev, code
     except _Exhausted:
         exhaustive = False
-    if best_profile is None:
-        best_profile = StrategyProfile.of(fixed)
-        best_rev = net.total_external()
-    return SocialOptimum(best_profile, best_rev, exhaustive)
+    if best_code is None:
+        return SocialOptimum(StrategyProfile.of(game.given), net.total_external(), exhaustive)
+    return SocialOptimum(game.profile(best_code), best_rev, exhaustive)
 
 
 # ---------------------------------------------------------------------------
@@ -840,16 +891,23 @@ def min_max_cycle_d(
     forced and maximizing total value means maximizing real flow subject to
     out(v) <= external(v) + in(v) per firm. For each optimum, the smallest L
     such that the circulation splits into simple cycles of length <= L is
-    found by memoized recursive peeling. Exponential by nature; the budget
-    caps the search and inexact results are flagged. A zero optimal
-    circulation (nothing can flow) reports 0, exact.
+    found by memoized peeling. Both searches are depth-first on explicit
+    stacks, so their depth is not bounded by Python's recursion limit.
+    Exponential by nature; the budget caps the search and inexact results
+    are flagged. A zero optimal circulation (nothing can flow) reports 0,
+    exact.
     """
     circ = build_circulation_network(net)
-    fstar = max_value_circulation(circ)
+    return _min_max_cycle_d(circ, max_value_circulation(circ), budget)
+
+
+def _min_max_cycle_d(
+    circ: CirculationNetwork, fstar: FlowAssignment, budget: SearchBudget
+) -> CycleBound:
+    net = circ.base
     real = list(net.edges)
     target = sum(fstar.get(e.id) for e in real)
-    total_ext = net.total_external()
-    if target == 0 and total_ext == 0:
+    if target == 0 and net.total_external() == 0:
         return CycleBound(0, True)
     meter = _Meter(budget)
 
@@ -857,147 +915,143 @@ def min_max_cycle_d(
     suffix_cap = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
         suffix_cap[k] = suffix_cap[k + 1] + real[k].weight
-    in_future = [dict() for _ in range(m + 1)]  # node -> capacity still arriving
-    for k in range(m - 1, -1, -1):
-        d = dict(in_future[k + 1])
-        e = real[k]
-        d[e.dst] = d.get(e.dst, 0) + e.weight
-        in_future[k] = d
 
-    aux_in = {e.src: e.id for e in circ.source_in}
-    aux_out = {e.dst: e.id for e in circ.source_out}
     all_ids = sorted(e.id for e in circ.edges)
-    id_pos = {e: i for i, e in enumerate(all_ids)}
-    adjacency: dict[NodeId, list[tuple[NodeId, EdgeId]]] = {
-        v: [] for v in circ.nodes
-    }
-    for e in circ.edges:
+    adjacency: dict[NodeId, list[tuple[NodeId, EdgeId]]] = {v: [] for v in circ.nodes}
+    for e in sorted(circ.edges, key=lambda e: (node_key(e.dst), e.id)):
         adjacency[e.src].append((e.dst, e.id))
-    for v in adjacency:
-        adjacency[v].sort(key=lambda t: (node_key(t[0]), t[1]))
-    node_order = {v: i for i, v in enumerate(sorted(circ.nodes, key=node_key))}
+    order = sorted(circ.nodes, key=node_key)
+    node_order = {v: i for i, v in enumerate(order)}
 
     best: Money | None = None
     fallback: Money | None = None
     exact = True
 
+    def cycles_through(
+        pivot: NodeId, state: dict[EdgeId, Money], limit: int
+    ) -> Iterable[list[EdgeId]]:
+        """Simple cycles with flow through ``pivot``, of at most ``limit``
+        edges, over nodes after it, depth-first in adjacency order; ``state``
+        may change between yields if it is restored before the next one."""
+        path: list[tuple[NodeId, EdgeId]] = []  # (node, edge into it) after the pivot
+        on_path = {pivot}
+        arcs = [iter(adjacency[pivot])]
+        while arcs:
+            step = next(arcs[-1], None)
+            if step is None:
+                arcs.pop()
+                if path:
+                    on_path.discard(path.pop()[0])
+                continue
+            w, eid = step
+            if state.get(eid, 0) <= 0:
+                continue
+            if w == pivot:
+                yield [e for _, e in path] + [eid]
+            elif node_order[w] > node_order[pivot] and w not in on_path and len(path) + 2 <= limit:
+                path.append((w, eid))
+                on_path.add(w)
+                arcs.append(iter(adjacency[w]))
+
+    def feasible(state: dict[EdgeId, Money], limit: int) -> bool:
+        """Whether ``state`` splits into simple cycles of at most ``limit``
+        edges: peel one unit along each cycle through the smallest node with
+        flow, and try the rest, memoized on the flow vector."""
+        memo: dict[tuple, bool] = {}
+        frames: list[list] = []  # [key, cycle iterator, cycle peeled or None]
+
+        def enter() -> bool | None:
+            """A settled answer for ``state``, or None after pushing a frame."""
+            meter.charge()
+            key = tuple(state.get(i, 0) for i in all_ids)
+            if not any(state.values()):
+                return True
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+            pivot = next(
+                v for v in order if any(state.get(eid, 0) > 0 for _, eid in adjacency[v])
+            )
+            frames.append([key, cycles_through(pivot, state, limit), None])
+            return None
+
+        answer = enter()
+        while frames:
+            frame = frames[-1]
+            if frame[2] is not None:  # back from the state without that cycle
+                for eid in frame[2]:
+                    state[eid] += 1
+                frame[2] = None
+                if answer:
+                    memo[frame[0]] = True
+                    frames.pop()
+                    continue
+            cycle = next(frame[1], None)
+            if cycle is None:
+                memo[frame[0]] = answer = False
+                frames.pop()
+                continue
+            for eid in cycle:
+                state[eid] -= 1
+            frame[2] = cycle
+            answer = enter()
+        return answer
+
     def min_max_length(vec: dict[EdgeId, Money]) -> Money:
         nonlocal fallback
-        flows = FlowAssignment(dict(vec))
-        upper = decompose_circulation(circ, flows).max_cycle_length()
+        upper = decompose_circulation(circ, FlowAssignment(dict(vec))).max_cycle_length()
         fallback = upper if fallback is None else min(fallback, upper)
-        if upper <= 2:
-            return upper
-        order = sorted(circ.nodes, key=node_key)
-
-        def feasible(limit: int) -> bool:
-            memo: dict[tuple, bool] = {}
-
-            def rec(state: dict[EdgeId, Money]) -> bool:
-                meter.charge()
-                key = tuple(state.get(i, 0) for i in all_ids)
-                if not any(state.values()):
-                    return True
-                hit = memo.get(key)
-                if hit is not None:
-                    return hit
-                pivot = next(
-                    v
-                    for v in order
-                    if any(state.get(eid, 0) > 0 for _, eid in adjacency[v])
-                )
-                found = False
-                path_nodes = [pivot]
-                path_edges: list[EdgeId] = []
-
-                def walk(u: NodeId) -> bool:
-                    nonlocal found
-                    for w, eid in adjacency[u]:
-                        if state.get(eid, 0) <= 0:
-                            continue
-                        if w == pivot:
-                            for pe in path_edges + [eid]:
-                                state[pe] -= 1
-                            ok = rec(state)
-                            for pe in path_edges + [eid]:
-                                state[pe] += 1
-                            if ok:
-                                return True
-                            continue
-                        if node_order[w] < node_order[pivot] or w in path_nodes:
-                            continue
-                        if len(path_edges) + 2 > limit:
-                            continue
-                        path_nodes.append(w)
-                        path_edges.append(eid)
-                        if walk(w):
-                            path_nodes.pop()
-                            path_edges.pop()
-                            return True
-                        path_nodes.pop()
-                        path_edges.pop()
-                    return False
-
-                found = walk(pivot)
-                memo[key] = found
-                return found
-
-            return rec(dict(vec))
-
         for limit in range(2, upper):
-            if feasible(limit):
+            if feasible(dict(vec), limit):
                 return limit
         return upper
 
-    def full_vector(assign: list[Money]) -> dict[EdgeId, Money]:
-        vec = {e.id: f for e, f in zip(real, assign)}
-        for v in net.nodes:
-            inflow = sum(f for e, f in zip(real, assign) if e.dst == v)
-            outflow = sum(f for e, f in zip(real, assign) if e.src == v)
-            surplus = net.external(v) + inflow - outflow
-            vec[aux_in[v]] = surplus
-            if v in aux_out:
-                vec[aux_out[v]] = net.external(v)
-        return vec
-
-    assign: list[Money] = [0] * m
-    out_sof: dict[NodeId, Money] = {v: 0 for v in net.nodes}
-    in_sof: dict[NodeId, Money] = {v: 0 for v in net.nodes}
-
-    def affordable(v: NodeId, k: int) -> bool:
-        return out_sof[v] <= net.external(v) + in_sof[v] + in_future[k].get(v, 0)
-
-    def enumerate_optima(k: int, total: Money) -> None:
-        nonlocal best
-        meter.charge()
-        if total + suffix_cap[k] < target:
-            return
-        if k == m:
-            d_here = min_max_length(full_vector(assign))
-            if best is None or d_here < best:
-                best = d_here
-            return
-        e = real[k]
-        for f in range(e.weight, -1, -1):
-            assign[k] = f
-            out_sof[e.src] += f
-            in_sof[e.dst] += f
-            if affordable(e.src, k + 1) and affordable(e.dst, k + 1):
-                enumerate_optima(k + 1, total + f)
-            out_sof[e.src] -= f
-            in_sof[e.dst] -= f
-            assign[k] = 0
-
+    # Depth-first over edges 0..m-1, each edge's flow from its weight down to
+    # 0, pruned when the rest cannot reach the optimum or a firm pays more
+    # than it holds plus all it can still receive: ``over[v]`` is v's outflow
+    # so far, less its inflow so far and the weight of its in-edges not yet
+    # assigned. ``assign[k]`` is None while edge k has not been tried.
+    assign: list[Money | None] = [None] * m
+    over = {v: 0 for v in net.nodes}
+    for e in real:
+        over[e.dst] -= e.weight
     try:
-        enumerate_optima(0, 0)
+        k, total, entering = 0, 0, True
+        while k >= 0:
+            if entering:  # a call on edges k.. with ``total`` assigned so far
+                meter.charge()
+                entering = False
+                if total + suffix_cap[k] < target:
+                    k -= 1
+                    continue
+                if k == m:  # an optimum; each firm's surplus goes to the source
+                    vec = {e.id: f for e, f in zip(real, assign)}
+                    vec.update((e.id, net.external(e.src) - over[e.src]) for e in circ.source_in)
+                    vec.update((e.id, e.weight) for e in circ.source_out)
+                    d_here = min_max_length(vec)
+                    best = d_here if best is None else min(best, d_here)
+                    k -= 1
+                    continue
+                over[real[k].dst] += real[k].weight
+            e, f = real[k], assign[k]
+            if f == 0:  # every flow on edge k is tried
+                assign[k] = None
+                over[e.dst] -= e.weight
+                k -= 1
+                continue
+            assign[k] = e.weight if f is None else f - 1
+            step = assign[k] - (f or 0)
+            over[e.src] += step
+            over[e.dst] -= step
+            total += step
+            if over[e.src] <= net.external(e.src) and over[e.dst] <= net.external(e.dst):
+                k += 1
+                entering = True
     except _Exhausted:
         exact = False
     if best is None:
-        vec = {e: fstar.get(e) for e in all_ids}
         if fallback is None:
-            fallback = decompose_circulation(
-                circ, FlowAssignment(vec)
-            ).max_cycle_length()
+            fallback = decompose_circulation(circ, fstar).max_cycle_length()
         return CycleBound(fallback, False)
     return CycleBound(best, exact)
 
@@ -1036,43 +1090,35 @@ def welfare_metrics(
     """Optimal revenue, equilibrium extremes, anarchy/stability ratios, and d.
 
     The optimum comes from the maximum-value circulation for threshold (coin)
-    games and from exhaustive profile search for edge-ranking games.
-    Equilibrium extremes come from exhaustive enumeration with coalition
-    checks; ratios degrade to the unbounded sentinel when the relevant
+    games and, for edge-ranking games, from the highest revenue of the
+    enumeration pass, which clears every edge-ranking profile anyway.
+    Equilibrium extremes come from that exhaustive enumeration with coalition
+    checks. One game serves both, so every profile is cleared and charged
+    once, under one meter and one deadline; the circulation network and f*
+    are built once and shared with the d search, which keeps a meter of its
+    own. Ratios degrade to the unbounded sentinel when the relevant
     equilibrium revenue is zero while the optimum is positive. With
     ``compute_d=False`` the exponential minimization over optimal
     circulations is skipped and ``d_bound`` is just the longest cycle of one
     canonical decomposition, flagged inexact.
     """
-    exhaustive = True
-    # Edge space with d reads no circulation here; min_max_cycle_d builds its own.
-    if space is SearchSpace.THRESHOLD or not compute_d:
-        circ = build_circulation_network(net)
-        fstar = max_value_circulation(circ)
+    game = _Game(net, budget, space, fixed)
+    fstar = max_value_circulation(game.circ)
+    found, best_rev, exhaustive = _enumerate(game, check_strong=True)
     if space is SearchSpace.THRESHOLD:
         opt = fstar.total() - net.total_external()
     else:
-        social = social_optimum_edge_ranking(net, budget, fixed=fixed)
-        opt = social.revenue
-        exhaustive = exhaustive and social.exhaustive
-    enum = enumerate_equilibria(net, space, budget, fixed=fixed, check_strong=True)
-    exhaustive = exhaustive and enum.exhaustive
-    nash_revs = [
-        sum(f.state.assets[v] for v in net.nodes) for f in enum.findings
-    ]
+        opt = net.total_external() if best_rev is None else best_rev
+    nash_revs = [sum(game.clear(code)) for code, _ in found]
     strong_revs = [
-        sum(f.state.assets[v] for v in net.nodes)
-        for f in enum.findings
-        if f.report.verdict is Verdict.STRONG
+        sum(game.clear(code)) for code, report in found if report.verdict is Verdict.STRONG
     ]
     if compute_d:
-        d = min_max_cycle_d(net, budget)
+        d = _min_max_cycle_d(game.circ, fstar, budget)
     elif fstar.total() == 0:
         d = CycleBound(0, True)
     else:
-        d = CycleBound(
-            decompose_circulation(circ, fstar).max_cycle_length(), False
-        )
+        d = CycleBound(decompose_circulation(game.circ, fstar).max_cycle_length(), False)
     best_eq = max(nash_revs) if nash_revs else None
     worst_eq = min(nash_revs) if nash_revs else None
     return WelfareMetrics(

@@ -28,7 +28,6 @@ from .core import (
     Money,
     NodeId,
     UnboundedType,
-    node_key,
     total_liabilities,
 )
 
@@ -43,9 +42,6 @@ class EdgeRankingStrategy:
 
     owner: NodeId
     ranking: tuple[EdgeId, ...]
-
-    def canonical(self) -> tuple:
-        return ("edge", self.ranking)
 
 
 @dataclass(frozen=True)
@@ -71,18 +67,12 @@ class ThresholdRankingStrategy:
     def threshold_map(self) -> dict[EdgeId, Money]:
         return dict(self.thresholds)
 
-    def canonical(self) -> tuple:
-        return ("threshold", self.ranking, self.thresholds)
-
 
 @dataclass(frozen=True)
 class ProRataStrategy:
     """Proportional split of assets over outgoing liabilities; no free parameters."""
 
     owner: NodeId
-
-    def canonical(self) -> tuple:
-        return ("pro-rata",)
 
 
 Strategy = Union[EdgeRankingStrategy, ThresholdRankingStrategy, ProRataStrategy]
@@ -109,13 +99,6 @@ class StrategyProfile:
         for s in new:
             merged[s.owner] = s
         return StrategyProfile(merged)
-
-    def signature(self) -> tuple:
-        """Canonical hashable form, usable as a cache key."""
-        return tuple(
-            (v, self.strategies[v].canonical())
-            for v in sorted(self.strategies, key=node_key)
-        )
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,12 @@ from finclear import (
     StrategyProfile,
     ThresholdRankingStrategy,
 )
+from finclear.core import Money, NodeId
+
+
+def with_external(net: FinancialNetwork, v: NodeId, amount: Money) -> FinancialNetwork:
+    """A copy of the network with one firm's external assets replaced."""
+    return FinancialNetwork.build(net.nodes, {**net.external_assets, v: amount}, net.edges)
 
 
 def random_net(

@@ -48,7 +48,7 @@ from finclear import (
 )
 from finclear.core import build_circulation_network, total_liabilities
 from finclear.equilibria import max_value_circulation
-from _samplers import random_net, random_profile
+from _samplers import random_net, random_profile, with_external
 
 
 def _gates(fixed: StrategyProfile, hub, pgate, qgate) -> StrategyProfile:
@@ -103,7 +103,7 @@ def test_c03_seeded_gadget_utility_table_and_strong_profile():
     state. Against pgate=(4,3) the hub still strictly prefers (6,0): 5 > 3.
     """
     net, fixed = gen_no_nash()
-    net = net.with_external("qsink", 1)
+    net = with_external(net, "qsink", 1)
     strong = _gates(fixed, hub=(6, 0), pgate=(3, 4), qgate=(9, 10))
     report = is_strong_equilibrium(net, strong)
     assert report.verdict is Verdict.STRONG

@@ -22,10 +22,33 @@ from finclear.core import (
     build_circulation_network,
     check_clearing_consistency,
     decompose_circulation,
-    extend_flows_to_circulation,
     node_key,
     total_liabilities,
 )
+from _samplers import with_external
+
+
+def extend_flows_to_circulation(circ, cs: ClearingState) -> FlowAssignment:
+    """A clearing state's real-edge flows plus the auxiliary flows that make
+    them conservative: every (s, v) edge saturated, each (v, s) edge
+    carrying v's unspent assets."""
+    full = dict(cs.flows.flow)
+    for e in circ.source_out:
+        full[e.id] = e.weight
+    for e in circ.source_in:
+        paid = sum(cs.flows.get(out.id) for out in circ.base.out_edges(e.src))
+        full[e.id] = cs.assets.get(e.src, 0) - paid
+    return FlowAssignment(full)
+
+
+def recompose(decomp) -> FlowAssignment:
+    """The flow a cycle decomposition stands for: each cycle's multiplicity
+    on each of its edges."""
+    flow: dict[int, int] = {}
+    for cycle, mult in zip(decomp.cycles, decomp.multiplicity):
+        for e in cycle:
+            flow[e] = flow.get(e, 0) + mult
+    return FlowAssignment(flow)
 
 
 def chain_net() -> FinancialNetwork:
@@ -76,7 +99,7 @@ class TestBuild:
             chain_net().out_edges("zz")
 
     def test_with_external_replaces_only_one_firm(self):
-        net = chain_net().with_external("b", 7)
+        net = with_external(chain_net(), "b", 7)
         assert net.external("b") == 7
         assert net.external("a") == 2
 
@@ -179,7 +202,7 @@ class TestCirculation:
         flows = extend_flows_to_circulation(circ, cs)
         decomp = decompose_circulation(circ, flows)
         assert all(m > 0 for m in decomp.multiplicity)
-        recombined = decomp.recompose()
+        recombined = recompose(decomp)
         assert all(
             recombined.get(e.id) == flows.get(e.id) for e in circ.edges
         )

@@ -14,6 +14,7 @@ from finclear import (
     UNBOUNDED,
     EdgeRankingStrategy,
     FinancialNetwork,
+    SearchBudget,
     SearchSpace,
     StrategyProfile,
     Verdict,
@@ -38,7 +39,7 @@ from finclear.core import (
     decompose_circulation,
 )
 from finclear.equilibria import max_value_circulation
-from _samplers import random_net, random_profile
+from _samplers import random_net, random_profile, with_external
 
 
 def _gate_profile(fixed: StrategyProfile, hub, pgate, qgate) -> StrategyProfile:
@@ -95,7 +96,7 @@ class TestNash:
 
     def test_seed_money_at_the_sink_stabilizes_the_gadget(self):
         net, fixed = gen_no_nash()
-        net = net.with_external("qsink", 1)
+        net = with_external(net, "qsink", 1)
         profile = _gate_profile(fixed, hub=(6, 0), pgate=(3, 4), qgate=(9, 10))
         report = is_nash(net, profile)
         assert report.verdict is Verdict.NASH
@@ -123,6 +124,14 @@ class TestNash:
         assert report.verdict is Verdict.NASH
         state = top_cycle_increase(net, profile)
         assert revenue(net, state) == 22
+
+
+    def test_budget_running_out_in_a_subset_search_is_flagged(self):
+        """f1's out-edges are unit edges, so its best response is the subset
+        search; with one candidate the base clear uses the whole budget."""
+        net, profile = _poa_dead_end()
+        report = is_nash(net, profile, budget=SearchBudget(max_candidates=1))
+        assert (report.verdict, report.exhaustive) == (Verdict.NASH, False)
 
 
 class TestStrong:
@@ -163,8 +172,6 @@ class TestEnumerate:
 
     def test_budget_exhaustion_is_flagged(self):
         net, fixed = gen_no_nash()
-        from finclear import SearchBudget
-
         result = enumerate_equilibria(
             net, fixed=fixed, budget=SearchBudget(max_candidates=3)
         )

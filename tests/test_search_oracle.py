@@ -1,0 +1,286 @@
+"""The indexed payoff table and the coalition pruning against a brute-force reference.
+
+The reference below is the search as it reads in the paper's terms: plain
+``StrategyProfile``s, each cleared afresh by ``top_cycle_increase``, with
+no table, no dedupe by code and no pruning of coalition members beyond
+firms that are solvent on external assets alone.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+import sys
+
+from hypothesis import given, settings, strategies as st
+
+import finclear.equilibria as equilibria
+from finclear import (
+    EdgeRankingStrategy,
+    EquilibriumReport,
+    FinancialNetwork,
+    SearchSpace,
+    StrategyProfile,
+    ThresholdRankingStrategy,
+    Verdict,
+    DeviationWitness,
+    best_response_exact,
+    enumerate_equilibria,
+    gen_spoa_family,
+    is_nash,
+    is_strong_equilibrium,
+    min_max_cycle_d,
+    social_optimum_edge_ranking,
+    top_cycle_increase,
+    welfare_metrics,
+)
+from finclear.core import node_key, total_liabilities
+from finclear.equilibria import strategy_space
+from _samplers import random_profile
+
+
+def _assets(net, profile):
+    return top_cycle_increase(net, profile).assets
+
+
+def _insolvent(net, assets):
+    return [
+        v for v in net.nodes if net.out_edges(v) and assets[v] < total_liabilities(net, v)
+    ]
+
+
+def _inflow_paying_exactly(net, profile, v, paid):
+    """v's inflow when it pays exactly the unit edges ``paid``: drop its other
+    out-edges and give it |paid| more external assets."""
+    edges = [e for e in net.edges if e.src != v or e.id in paid]
+    externals = {u: net.external(u) for u in net.nodes}
+    externals[v] += len(paid)
+    trimmed = FinancialNetwork.build(net.nodes, externals, edges)
+    others = {u: s for u, s in profile.strategies.items() if u != v}
+    if paid:
+        others[v] = EdgeRankingStrategy(v, paid)
+    return top_cycle_increase(trimmed, StrategyProfile.of(others)).assets[v] - externals[v]
+
+
+def ref_best_response(net, profile, v, space):
+    """(strategy, value): the first best strategy of v's space; with unit
+    out-edges in edge space, the ranking that pays first the smallest (by
+    size, then lexicographically) self-supporting set of unit edges whose
+    inflow attains the best value."""
+    base = _assets(net, profile)[v]
+    if base >= total_liabilities(net, v):
+        return profile.strategy_for(v), base
+    candidates = strategy_space(net, v, space)
+    values = [_assets(net, profile.replace(s))[v] for s in candidates]
+    best = max(values)
+    if space is SearchSpace.THRESHOLD or any(e.weight > 1 for e in net.out_edges(v)):
+        return candidates[values.index(best)], best
+    out_ids = sorted(e.id for e in net.out_edges(v))
+    unit = [i for i in out_ids if net.edge(i).weight == 1]
+    zero = [i for i in out_ids if net.edge(i).weight == 0]
+    for size in range(len(unit) + 1):
+        for paid in itertools.combinations(unit, size):
+            value = net.external(v) + _inflow_paying_exactly(net, profile, v, paid)
+            if size <= value == best:
+                rest = tuple(i for i in unit if i not in paid)
+                return EdgeRankingStrategy(v, paid + rest + tuple(zero)), best
+    raise AssertionError("no self-supporting paid set attains the best value")
+
+
+def ref_is_nash(net, profile, space):
+    base = _assets(net, profile)
+    for v in _insolvent(net, base):
+        strategy, value = ref_best_response(net, profile, v, space)
+        if value > base[v]:
+            witness = DeviationWitness((v,), {v: strategy}, {v: base[v]}, {v: value})
+            return EquilibriumReport(Verdict.NOT_NASH, witness, space, True)
+    return EquilibriumReport(Verdict.NASH, None, space, True)
+
+
+def ref_is_strong(net, profile, space):
+    base = _assets(net, profile)
+    spaces = {v: strategy_space(net, v, space) for v in net.nodes if net.out_edges(v)}
+    members = [
+        v
+        for v in sorted(spaces, key=node_key)
+        if len(spaces[v]) >= 2 and net.external(v) < total_liabilities(net, v)
+    ]
+    for size in range(1, len(members) + 1):
+        for coalition in itertools.combinations(members, size):
+            for combo in itertools.product(*(spaces[v] for v in coalition)):
+                after = _assets(net, profile.replace(*combo))
+                if all(after[v] > base[v] for v in coalition):
+                    witness = DeviationWitness(
+                        coalition,
+                        {s.owner: s for s in combo},
+                        {v: base[v] for v in coalition},
+                        {v: after[v] for v in coalition},
+                    )
+                    return EquilibriumReport(Verdict.NOT_STRONG, witness, space, True)
+    return EquilibriumReport(Verdict.STRONG, None, space, True)
+
+
+def _profiles(net, space, fixed):
+    """Every profile of the non-fixed firms, in product order."""
+    firms = [v for v in net.nodes if net.out_edges(v) and v not in fixed]
+    for combo in itertools.product(*(strategy_space(net, v, space) for v in firms)):
+        yield StrategyProfile.of({**fixed, **{s.owner: s for s in combo}})
+
+
+def ref_enumerate(net, space, fixed, check_strong):
+    findings = []
+    for profile in _profiles(net, space, fixed):
+        state = top_cycle_increase(net, profile)
+        deviates = any(
+            _assets(net, profile.replace(alt))[v] > state.assets[v]
+            for v in _insolvent(net, state.assets)
+            for alt in strategy_space(net, v, space)
+            if alt != profile.strategy_for(v)
+        )
+        if not deviates:
+            if check_strong:
+                report = ref_is_strong(net, profile, space)
+            else:
+                report = EquilibriumReport(Verdict.NASH, None, space, True)
+            findings.append((profile, state, report))
+    return findings
+
+
+def ref_social_optimum(net, fixed):
+    best = None
+    for profile in _profiles(net, SearchSpace.EDGE, fixed):
+        rev = sum(_assets(net, profile).values())
+        if best is None or rev > best[1]:
+            best = (profile, rev)
+    return best
+
+
+def _small_game(rng: random.Random, space: SearchSpace) -> FinancialNetwork:
+    """2-5 firms with n to 2n edges of weight at most 3 (at most 2, and at
+    most n + 2 edges, in threshold space, whose strategy tables grow with
+    the weights), a few of weight 0, and external assets of 0-2 on about
+    half the firms. A game is drawn again while the product over its firms
+    of (strategies + 1), which bounds every coalition search, exceeds 128,
+    so that the brute-force reference stays within about a second."""
+    while True:
+        n = rng.randint(2, 5)
+        names = [f"n{i}" for i in range(1, n + 1)]
+        if space is SearchSpace.EDGE:
+            m, max_weight = rng.randint(n, 2 * n), 3
+        else:
+            m, max_weight = rng.randint(n, n + 2), 2
+        edges = [
+            (i, *rng.sample(names, 2), rng.randint(0 if rng.random() < 0.1 else 1, max_weight))
+            for i in range(m)
+        ]
+        externals = {v: rng.randint(0, 2) for v in names if rng.random() < 0.5}
+        net = FinancialNetwork.build(names, externals, edges)
+        sizes = [len(strategy_space(net, v, space)) for v in net.nodes if net.out_edges(v)]
+        if math.prod(k + 1 for k in sizes) <= 128:
+            return net
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(SearchSpace)), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_searches_match_the_brute_force_reference(seed, space, with_fixed):
+    rng = random.Random(seed)
+    net = _small_game(rng, space)
+    profiles = [random_profile(rng, net) for _ in range(3)]
+    fixed = {}
+    if with_fixed:
+        fixed = {v: s for v, s in profiles[0].strategies.items() if rng.random() < 0.5}
+
+    for v in list(profiles[0].strategies)[:2]:
+        br = best_response_exact(net, profiles[0], v, space)
+        assert br.exhaustive
+        assert (br.strategy, br.value) == ref_best_response(net, profiles[0], v, space)
+    for profile in profiles:
+        assert is_nash(net, profile, space) == ref_is_nash(net, profile, space)
+        strong = is_strong_equilibrium(net, profile, space=space)
+        assert strong == ref_is_strong(net, profile, space)
+
+    result = enumerate_equilibria(net, space, fixed=fixed, check_strong=True)
+    assert result.exhaustive
+    found = [(f.profile, f.state, f.report) for f in result.findings]
+    assert found == ref_enumerate(net, space, fixed, check_strong=True)
+
+    social = social_optimum_edge_ranking(net, fixed=fixed)
+    assert social.exhaustive
+    assert (social.profile, social.revenue) == ref_social_optimum(net, fixed)
+
+
+def test_edge_best_response_never_returns_the_current_threshold_strategy():
+    """n1's current threshold strategy earns it 4 (it pays n3 2 first, which
+    n3 pays back), more than any edge ranking earns (at most 3). Edge space
+    holds only edge rankings, so the best response is the best of those."""
+    net = FinancialNetwork.build(
+        ["n1", "n2", "n3", "n5"],
+        {},
+        [
+            (0, "n3", "n1", 2), (1, "n2", "n5", 3), (2, "n1", "n2", 3),
+            (3, "n1", "n3", 3), (4, "n1", "n5", 1), (5, "n5", "n1", 2),
+        ],
+    )
+    profile = StrategyProfile.of([
+        ThresholdRankingStrategy.of("n1", (3, 2, 4), {2: 2, 3: 1, 4: 0}),
+        ThresholdRankingStrategy.of("n2", (1,), {1: 1}),
+        EdgeRankingStrategy("n3", (0,)),
+        EdgeRankingStrategy("n5", (5,)),
+    ])
+    assert top_cycle_increase(net, profile).assets["n1"] == 4
+    br = best_response_exact(net, profile, "n1")
+    assert (br.strategy, br.value) == (EdgeRankingStrategy("n1", (4, 3, 2)), 3)
+    assert (br.strategy, br.value) == ref_best_response(net, profile, "n1", SearchSpace.EDGE)
+
+
+def _count_calls(monkeypatch, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(equilibria, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(equilibria, name, counted)
+    return counts
+
+
+def test_welfare_metrics_clears_each_profile_once(monkeypatch):
+    """spoa d=7 has 64 edge-ranking profiles; the optimum, the enumeration,
+    the coalition checks and d share one game, one circulation and one f*."""
+    names = ("clear_circulation", "build_circulation_network", "max_value_circulation")
+    counts = _count_calls(monkeypatch, names)
+    metrics = welfare_metrics(gen_spoa_family(7))
+    assert (metrics.opt_revenue, metrics.d_bound, metrics.d_exact) == (42, 7, True)
+    assert counts == {
+        "clear_circulation": 64,
+        "build_circulation_network": 1,
+        "max_value_circulation": 1,
+    }
+    counts.update(dict.fromkeys(names, 0))
+    welfare_metrics(gen_spoa_family(7), space=SearchSpace.THRESHOLD)
+    assert counts["max_value_circulation"] == 1
+    assert counts["build_circulation_network"] == 1
+
+
+def test_cycle_bound_search_depth_is_not_bounded_by_the_recursion_limit():
+    """A unit ring longer than the recursion limit allows: one optimum, whose
+    only decomposition is the ring plus the external unit's 2-cycle."""
+    n = 300
+    net = FinancialNetwork.build(
+        [f"f{i}" for i in range(n)],
+        {"f0": 1},
+        [(i, f"f{i}", f"f{(i + 1) % n}", 1) for i in range(n)],
+    )
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + n // 2)
+    try:
+        bound = min_max_cycle_d(net)
+    finally:
+        sys.setrecursionlimit(old)
+    assert (bound.value, bound.exact) == (n, True)

@@ -25,7 +25,7 @@ from finclear.strategies import (
     pro_rata_payment,
     ProRataStrategy,
 )
-from _samplers import random_net, random_profile
+from _samplers import random_net, random_profile, with_external
 
 
 def fan_net() -> FinancialNetwork:
@@ -292,7 +292,7 @@ def test_reconstruction_rejects_solvent_firms_and_paid_edges():
     cs = top_cycle_increase(net, profile)
     with pytest.raises(StrategyError):
         threshold_from_flows("d", net, cs, 0)  # d is insolvent, but edge 0 is full
-    rich = net.with_external("d", 20)
+    rich = with_external(net, "d", 20)
     rich_cs = top_cycle_increase(rich, profile)
     with pytest.raises(StrategyError):
         threshold_from_flows("d", rich, rich_cs, 2)
