@@ -99,113 +99,123 @@ def clear_circulation(
     last, with unbounded room), so flow walks die only at the exhausted
     source. Each push saturates at least one finite segment, bounding the
     number of pushes by |V| + 2|E| + 2.
+
+    The walks cost O(V + E + the summed lengths of the pushed cycles), on
+    two invariants. A node is dead once its walk reaches the exhausted
+    source; dead nodes never revive, because a dead node's walk runs through
+    dead nodes only and a push moves only the active edges of its cycle's
+    nodes, which are not dead. And after a push the walk stays valid up to
+    the first cycle node whose segment saturated: it resumes there, and the
+    scan over start nodes resumes where it stopped.
     """
-    net = circ.base
-    _check_ranking_profile(net, profile)
+    _check_ranking_profile(circ.base, profile)
+    return _clear(circ, profile, cycle_rng)
 
-    order = sorted(circ.nodes, key=node_key)
-    node_index = {v: i for i, v in enumerate(order)}
-    n = len(order)
 
-    edge_dst: list[int] = []
-    edge_pos: dict[int, int] = {}
-    for e in circ.edges:
-        edge_pos[e.id] = len(edge_dst)
-        edge_dst.append(node_index[e.dst])
-    flows = [0] * len(edge_dst)
+class _Kernel:
+    """A circulation network as int arrays, nodes in ``node_key`` order.
+    Flow slot k < m is the k-th base edge; node i has the surplus slot
+    m + 2i and the source slot m + 2i + 1, which carries ``external[i]``.
+    ``capacity`` exceeds all finite capacity, so no push fills that room.
+    Nothing refers back to the circulation, so caching makes no cycle."""
 
-    # Payment schedule per node: (local edge, remaining) segments in order,
-    # None marking unbounded room on the surplus edge. The source pays its
-    # (s, v) edges in ascending node order and then goes inactive.
-    schedules: list[list[tuple[int, Money | None]]] = [[] for _ in range(n)]
+    __slots__ = ("index", "slot", "dst", "source", "external", "capacity")
+
+    def __init__(self, circ: CirculationNetwork) -> None:
+        self.index = {v: i for i, v in enumerate(sorted(circ.nodes, key=node_key))}
+        self.slot = {e.id: k for k, e in enumerate(circ.base.edges)}
+        self.source = self.index[circ.source]
+        self.dst = [self.index[e.dst] for e in circ.base.edges]
+        for i in range(len(self.index)):
+            self.dst += (self.source, i)
+        self.external = [0] * len(self.index)
+        for e in circ.source_out:
+            self.external[self.index[e.dst]] = e.weight
+        self.capacity = 1 + sum(self.external) + sum(e.weight for e in circ.base.edges)
+
+
+def _clear(
+    circ: CirculationNetwork,
+    profile: StrategyProfile,
+    cycle_rng: random.Random | None = None,
+    surgery: tuple[NodeId, tuple[EdgeId, ...]] | None = None,
+) -> ClearingState:
+    """``clear_circulation`` without the profile check. Surgery (v, paid):
+    v pays exactly the edges ``paid``, in order, then surplus, out of
+    externals raised by len(paid), whatever ``profile`` says. Assets count
+    the network's externals; v's inflow is its ``internal_assets`` entry."""
+    kernel = circ._kernel
+    if kernel is None:
+        kernel = _Kernel(circ)
+        object.__setattr__(circ, "_kernel", kernel)
+    net, slot, dst, external = circ.base, kernel.slot, kernel.dst, kernel.external
+    extra = len(surgery[1]) if surgery is not None else 0
+    m, room = len(slot), kernel.capacity + extra
+    schedules: list[list[tuple[int, Money]]] = [[] for _ in external]
     for v in net.nodes:
-        i = node_index[v]
-        segs: list[tuple[int, Money | None]] = []
-        if net.out_edges(v):
-            for e_id, length in payment_segments(profile.strategy_for(v), net):
-                segs.append((edge_pos[e_id], length))
-        segs.append((edge_pos[circ.surplus_edge(v).id], None))
-        schedules[i] = segs
-    src_i = node_index[circ.source]
-    schedules[src_i] = [
-        (edge_pos[e.id], e.weight)
-        for e in sorted(circ.source_out, key=lambda e: node_key(e.dst))
-    ]
+        i = kernel.index[v]
+        if surgery is not None and v == surgery[0]:
+            strat = EdgeRankingStrategy(v, surgery[1])
+            external = external.copy()
+            external[i] += extra
+        else:
+            strat = profile.strategy_for(v) if net.out_edges(v) else None
+        if strat is not None:
+            schedules[i] = [(slot[e], length) for e, length in payment_segments(strat, net)]
+        schedules[i].append((m + 2 * i, room))
+    schedules[kernel.source] = [(m + 2 * i + 1, x) for i, x in enumerate(external) if x > 0]
 
+    n = len(schedules)
+    flows = [0] * len(dst)
     seg_at = [0] * n
-    seg_rem: list[Money | None] = [None] * n
-    active_edge = [-1] * n
-    active_to = [-1] * n
-    for i in range(n):
-        if schedules[i]:
-            loc, length = schedules[i][0]
-            seg_rem[i] = length
-            active_edge[i] = loc
-            active_to[i] = edge_dst[loc]
-
-    walk_mark = [-1] * n
-    path_pos = [0] * n
-    walk_counter = 0
-
-    while True:
-        dead = [False] * n
-        starts = range(n)
-        if cycle_rng is not None:
-            starts = list(starts)
-            cycle_rng.shuffle(starts)
-        cycle: list[int] | None = None
-        for start in starts:
-            if dead[start] or active_to[start] < 0:
-                continue
-            walk_counter += 1
-            path: list[int] = []
-            u = start
-            while True:
-                if active_to[u] < 0 or dead[u]:
-                    dead[u] = True
-                    for w in path:
-                        dead[w] = True
+    active = [segs[0][0] if segs else -1 for segs in schedules]
+    rem = [segs[0][1] if segs else 0 for segs in schedules]
+    to = [dst[a] if a >= 0 else -1 for a in active]
+    starts = list(range(n))
+    if cycle_rng is not None:
+        cycle_rng.shuffle(starts)
+    at = [-1] * n  # u's index in ``path`` while u is on the walk; -1 off it, -2 dead
+    path: list[int] = []
+    for u in starts:
+        while True:
+            p = at[u]
+            if p == -1:
+                t = to[u]
+                if t < 0:  # the exhausted source
                     break
-                if walk_mark[u] == walk_counter:
-                    cycle = path[path_pos[u] :]
-                    break
-                walk_mark[u] = walk_counter
-                path_pos[u] = len(path)
+                at[u] = len(path)
                 path.append(u)
-                u = active_to[u]
-            if cycle is not None:
+                u = t
+            elif p == -2:
                 break
-        if cycle is None:
-            break
-
-        delta: Money | None = None
-        for u in cycle:
-            r = seg_rem[u]
-            if r is not None and (delta is None or r < delta):
-                delta = r
-        if delta is None or delta <= 0:
-            raise InconsistentStateError(f"cycle push of size {delta}")
-        for u in cycle:
-            flows[active_edge[u]] += delta
-            r = seg_rem[u]
-            if r is None:
-                continue
-            r -= delta
-            if r > 0:
-                seg_rem[u] = r
-                continue
-            seg_at[u] += 1
-            if seg_at[u] < len(schedules[u]):
-                loc, length = schedules[u][seg_at[u]]
-                seg_rem[u] = length
-                active_edge[u] = loc
-                active_to[u] = edge_dst[loc]
-            else:
-                seg_rem[u] = None
-                active_edge[u] = -1
-                active_to[u] = -1
-
-    return _clearing_state(net, {e.id: flows[edge_pos[e.id]] for e in net.edges})
+            else:  # path[p:] is a cycle: push its bottleneck round it
+                delta = min(map(rem.__getitem__, path[p:]))
+                if delta <= 0:
+                    raise InconsistentStateError(f"cycle push of size {delta}")
+                cut = -1
+                for j in range(p, len(path)):
+                    w = path[j]
+                    flows[active[w]] += delta
+                    rem[w] -= delta
+                    if rem[w]:
+                        continue
+                    if cut < 0:
+                        cut = j
+                    seg_at[w] += 1
+                    if seg_at[w] < len(schedules[w]):
+                        active[w], rem[w] = schedules[w][seg_at[w]]
+                        to[w] = dst[active[w]]
+                    else:
+                        to[w] = -1
+                u = path[cut]
+                for w in path[cut:]:
+                    at[w] = -1
+                del path[cut:]
+        at[u] = -2
+        for w in path:
+            at[w] = -2
+        path.clear()
+    return _clearing_state(net, {e.id: flows[k] for k, e in enumerate(net.edges)})
 
 
 def _clearing_state(

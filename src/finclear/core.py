@@ -242,12 +242,23 @@ class CirculationNetwork(FinancialNetwork):
     clearing state extends to an exact circulation. ``nodes`` and ``edges``
     are the augmented tuples (base first, then the source and its edges); the
     externals live on the source's edges, so ``external_assets`` is empty.
+    Adjacency waits for first use; clearing reads only the cached ``_kernel``.
     """
 
     base: FinancialNetwork
     source: NodeId
     source_in: tuple[LiabilityEdge, ...]  # (v, s), unbounded, one per firm
     source_out: tuple[LiabilityEdge, ...]  # (s, v), weight a^x_v, firms with a^x_v > 0
+    _kernel: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        """Nothing to build: ``__getattr__`` builds the adjacency on first use."""
+
+    def __getattr__(self, name: str):
+        if name not in ("_out", "_in", "_by_id"):
+            raise AttributeError(name)
+        FinancialNetwork.__post_init__(self)
+        return object.__getattribute__(self, name)
 
     def surplus_edge(self, v: NodeId) -> LiabilityEdge:
         """The unbounded (v, source) edge carrying v's surplus."""

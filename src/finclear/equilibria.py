@@ -49,7 +49,7 @@ from .strategies import (
     ThresholdRankingStrategy,
     behavior_signature,
 )
-from .clearing import clear_circulation
+from .clearing import _check_ranking_profile, _clear, clear_circulation
 
 
 class SearchSpace(Enum):
@@ -435,8 +435,9 @@ def _asset_ceiling(net: FinancialNetwork, v: NodeId) -> Money:
 class _ExactPayoffs:
     """v's inflow when it pays exactly a chosen set of its unit out-edges.
 
-    h(P) is computed by surgery: drop v's out-edges outside P, raise v's
-    external assets by |P| so it is solvent and pays P in full, and clear.
+    h(P) is computed by surgery on the game's circulation: v pays exactly
+    the edges of P, sorted, and then surplus, out of external assets raised
+    by |P|, so it is solvent and pays P in full; then clear.
     h is monotone in P, and adding one unit edge raises it by at most 1:
     every other firm's payment response is 1-Lipschitz in its assets, so flow
     conservation bounds the extra inflow at v by the one extra unit v emits.
@@ -445,7 +446,9 @@ class _ExactPayoffs:
     def __init__(self, game: _Game, v: NodeId):
         self.game = game
         self.v = v
-        self.others = {owner: s for owner, s in game.given.items() if owner != v}
+        # v's entry, a stand-in for the surgery, passes the profile check.
+        out_ids = tuple(sorted(e.id for e in game.net.out_edges(v)))
+        self.profile = StrategyProfile({**game.given, v: EdgeRankingStrategy(v, out_ids)})
         self._cache: dict[tuple[EdgeId, ...], Money] = {}
 
     def inflow(self, subset: Sequence[EdgeId]) -> Money:
@@ -454,19 +457,10 @@ class _ExactPayoffs:
         if hit is not None:
             return hit
         self.game.meter.charge()
-        net = self.game.net
-        keep = set(key)
-        edges = [e for e in net.edges if e.src != self.v or e.id in keep]
-        externals = {u: net.external(u) for u in net.nodes if net.external(u) > 0}
-        externals[self.v] = net.external(self.v) + len(key)
-        trimmed = FinancialNetwork.build(net.nodes, externals, edges)
-        strategies = dict(self.others)
-        if key:
-            strategies[self.v] = EdgeRankingStrategy(self.v, key)
-        state = clear_circulation(
-            build_circulation_network(trimmed), StrategyProfile.of(strategies)
-        )
-        value = state.assets[self.v] - externals[self.v]
+        if not self._cache:
+            _check_ranking_profile(self.game.net, self.profile)
+        state = _clear(self.game.circ, self.profile, surgery=(self.v, key))
+        value = state.internal_assets[self.v]
         self._cache[key] = value
         return value
 
@@ -998,12 +992,18 @@ def _min_max_cycle_d(
         return answer
 
     def min_max_length(vec: dict[EdgeId, Money]) -> Money:
+        """The smallest feasible limit, bisected over [2, upper]: feasibility
+        is monotone in the limit, and the canonical split has ``upper``."""
         nonlocal fallback
         upper = decompose_circulation(circ, FlowAssignment(dict(vec))).max_cycle_length()
         fallback = upper if fallback is None else min(fallback, upper)
-        for limit in range(2, upper):
-            if feasible(dict(vec), limit):
-                return limit
+        low = 2
+        while low < upper:
+            mid = (low + upper) // 2
+            if feasible(dict(vec), mid):
+                upper = mid
+            else:
+                low = mid + 1
         return upper
 
     # Depth-first over edges 0..m-1, each edge's flow from its weight down to

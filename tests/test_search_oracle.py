@@ -22,15 +22,19 @@ from finclear import (
     FinancialNetwork,
     SearchSpace,
     StrategyProfile,
+    SatFormula,
+    SearchBudget,
     ThresholdRankingStrategy,
     Verdict,
     DeviationWitness,
     best_response_exact,
     enumerate_equilibria,
+    gen_from_sat,
     gen_spoa_family,
     is_nash,
     is_strong_equilibrium,
     min_max_cycle_d,
+    oracle_max_sat,
     social_optimum_edge_ranking,
     top_cycle_increase,
     welfare_metrics,
@@ -284,3 +288,58 @@ def test_cycle_bound_search_depth_is_not_bounded_by_the_recursion_limit():
     finally:
         sys.setrecursionlimit(old)
     assert (bound.value, bound.exact) == (n, True)
+
+
+C12_FORMULA = SatFormula.of(5, [(1, 2, -3), (1, -2, 4), (3, -4), (2, -3, 4, 5)])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_surgery_inflow_matches_a_rebuilt_network_for_every_subset(seed):
+    """Unit edges (a few of weight 0), 2-6 firms: for every firm and every
+    subset of its unit out-edges, the in-place surgery on the game's own
+    circulation gives the inflow of the trimmed, rebuilt network."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    names = [f"n{i}" for i in range(1, n + 1)]
+    edges = [
+        (i, *rng.sample(names, 2), 0 if rng.random() < 0.1 else 1)
+        for i in range(rng.randint(n, 3 * n))
+    ]
+    externals = {v: rng.randint(0, 2) for v in names if rng.random() < 0.5}
+    net = FinancialNetwork.build(names, externals, edges)
+    profile = random_profile(rng, net)
+    game = equilibria._Game(net, SearchBudget(), SearchSpace.EDGE, profile)
+    for v in net.nodes:
+        unit = [e.id for e in net.out_edges(v) if e.weight == 1]
+        payoffs = equilibria._ExactPayoffs(game, v)
+        for size in range(len(unit) + 1):
+            for paid in itertools.combinations(unit, size):
+                assert payoffs.inflow(paid) == _inflow_paying_exactly(net, profile, v, paid)
+
+
+def test_surgery_inflow_matches_a_rebuilt_network_on_the_formula_gadget(monkeypatch):
+    """Every subset that the best response on the worked formula scores."""
+    net, profile, firm = gen_from_sat(C12_FORMULA)
+    scored = {}
+    inflow = equilibria._ExactPayoffs.inflow
+
+    def recorded(self, subset):
+        scored[tuple(sorted(subset))] = value = inflow(self, subset)
+        return value
+
+    monkeypatch.setattr(equilibria._ExactPayoffs, "inflow", recorded)
+    br = best_response_exact(net, profile, firm, budget=SearchBudget(max_candidates=10**7))
+    assert br.exhaustive and len(scored) == br.evaluated == 90
+    for paid, value in scored.items():
+        assert value == _inflow_paying_exactly(net, profile, firm, paid)
+
+
+def test_best_response_on_the_formula_gadget_builds_one_circulation(monkeypatch):
+    """The subset search clears the game's circulation by surgery; it builds
+    no network of its own."""
+    counts = _count_calls(monkeypatch, ("build_circulation_network",))
+    net, profile, firm = gen_from_sat(C12_FORMULA)
+    br = best_response_exact(net, profile, firm, budget=SearchBudget(max_candidates=10**7))
+    assert br.value == C12_FORMULA.num_vars + oracle_max_sat(C12_FORMULA)
+    assert counts == {"build_circulation_network": 1}
