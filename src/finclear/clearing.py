@@ -5,18 +5,21 @@ exact, for edge/threshold-ranking profiles; it works on the circulation
 network and repeatedly pushes flow around cycles of per-firm "active" edges.
 ``kleene_clearing`` is the lattice-theoretic oracle: Jacobi iteration of the
 asset operator from the top (greatest fixed point) or bottom (least), slow but
-independent, used to cross-check. ``clear_pro_rata`` is the exact-rational
-reference clearing for the proportional baseline; some instances only converge
-in the limit and are reported as approximate rather than silently truncated.
-Both iterative engines run through one Jacobi driver, ``_iterate``.
+independent, used to cross-check; ``_iterate`` runs it under an optional
+budget. ``clear_pro_rata`` is the exact clearing of the proportional baseline:
+the fictitious default algorithm, at most n rounds of exact integer
+elimination, where iterating the proportional map would only converge in the
+limit.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
 from .core import (
     CirculationNetwork,
@@ -28,13 +31,15 @@ from .core import (
     InconsistentStateError,
     Money,
     NodeId,
+    SearchBudget,
+    _Exhausted,
+    _Meter,
     build_circulation_network,
     node_key,
     total_liabilities,
 )
 from .strategies import (
     EdgeRankingStrategy,
-    ProRataStrategy,
     Strategy,
     StrategyProfile,
     ThresholdRankingStrategy,
@@ -50,6 +55,10 @@ class ProfileError(FinclearError):
 
 class IterationLimitError(FinclearError):
     pass
+
+
+class BudgetExhaustedError(FinclearError):
+    """A budgeted oracle stopped before its fixed point; the message says why."""
 
 
 class KleeneStart(Enum):
@@ -233,26 +242,36 @@ def _clearing_state(
 def _iterate(
     net: FinancialNetwork,
     strategies: list[Strategy],
-    assets: dict[NodeId, Money | Fraction],
-    max_iterations: int,
-    zero: Money | Fraction = 0,
-) -> tuple[ClearingState, int, bool]:
-    """Jacobi iteration of a -> external + inflow(payments at a); edges of
-    firms without a strategy carry ``zero``. Returns the last state, the
-    iterations counted and whether that state is a fixed point; past the cap
-    it is one more iterate."""
-    idle = {e.id: zero for e in net.edges}
+    assets: dict[NodeId, Money],
+    cap: int,
+    budget: SearchBudget | None,
+) -> ClearingState:
+    """Jacobi iteration of a -> external + inflow(payments at a) from
+    ``assets`` to its first fixed point; edges of firms without a strategy
+    carry 0. Each iteration is charged to ``budget``; more than ``cap``
+    iterations mean some strategy is not monotone."""
+    meter = _Meter(budget) if budget is not None else None
+    idle = {e.id: 0 for e in net.edges}
     iterations = 0
     while True:
+        iterations += 1
+        if iterations > cap:
+            raise IterationLimitError(
+                f"no fixed point after {cap} iterations; a strategy is not monotone"
+            )
+        if meter is not None:
+            try:
+                meter.charge()
+            except _Exhausted as exc:
+                raise BudgetExhaustedError(
+                    f"stopped after {iterations - 1} iterations: {exc}"
+                ) from None
         flows = dict(idle)
         for strat in strategies:
             flows.update(payment_vector(strat, net, assets[strat.owner]))
-        state = _clearing_state(net, flows, zero)
-        if iterations == max_iterations:
-            return state, iterations, False
-        iterations += 1
+        state = _clearing_state(net, flows)
         if state.assets == assets:
-            return state, iterations, True
+            return state
         assets = state.assets
 
 
@@ -268,57 +287,213 @@ def kleene_clearing(
     net: FinancialNetwork,
     profile: StrategyProfile,
     start: KleeneStart = KleeneStart.TOP,
+    budget: SearchBudget | None = None,
 ) -> ClearingState:
     """Fixed-point iteration of the asset operator; intended as a testing oracle.
 
     From the top (assets bounded by externals plus incoming capacity) the
     iterates decrease to the greatest fixed point; from the bottom they
     increase to the least. The operator is evaluated Jacobi-style, always
-    from the full previous vector. Exceeding the iteration cap means some
-    strategy is not monotone, which ranking strategies never are.
+    from the full previous vector, and may take one iteration per unit of
+    weight. Each iteration counts as one candidate against ``budget``; when
+    the budget runs out, ``BudgetExhaustedError`` names the cap that did.
+    Exceeding the iteration cap means some strategy is not monotone, which
+    ranking strategies never are.
     """
     _check_ranking_profile(net, profile)
     top = _top(net)
     assets = top if start is KleeneStart.TOP else {v: 0 for v in net.nodes}
-    cap = sum(top.values()) + len(net.nodes) + 5
+    cap = sum(top.values()) + len(net.nodes) + 6
     payers = [profile.strategy_for(v) for v in net.nodes if net.out_edges(v)]
-    state, _, converged = _iterate(net, payers, assets, cap + 1)
-    if not converged:
-        raise IterationLimitError(
-            f"no fixed point after {cap} iterations; a strategy is not monotone"
-        )
-    return state
+    return _iterate(net, payers, assets, cap, budget)
 
 
 @dataclass(frozen=True)
 class ProRataResult:
-    """Pro-rata clearing outcome; ``converged`` False means ``state`` is only
-    the current upper bound on the greatest fixed point."""
+    """Pro-rata clearing outcome. ``state`` is the greatest clearing state,
+    so ``converged`` always holds; ``iterations`` counts the rounds of the
+    fictitious default algorithm."""
 
     state: ClearingState
     converged: bool
     iterations: int
 
 
-def clear_pro_rata(net: FinancialNetwork, max_iterations: int | None = None) -> ProRataResult:
+def clear_pro_rata(net: FinancialNetwork) -> ProRataResult:
     """Greatest fixed point of the proportional payment map, in exact rationals.
 
-    Iterates from the top. Proportional dynamics can contract geometrically
-    forever (an unsaturated cycle splitting flow off to a side branch), so a
-    cap bounds the work: on hitting it the current iterate is returned with
-    ``converged=False``. Firms whose liabilities are all zero-weight simply
-    keep their assets.
+    The fictitious default algorithm (Eisenberg & Noe, Mgmt. Sci. 2001;
+    Rogers & Veraart, Mgmt. Sci. 2013). Firm v owes L_v in all; one whose
+    liabilities are all zero-weight pays nothing and keeps its assets. Start
+    with every firm paying in full. Each round puts every firm whose assets
+    fall below L_v into the default set D and solves D's payments exactly,
+    with D paying all it holds and the others paying in full; a round that
+    adds no firm ends the run. In the unknowns s_v = 1 - p_v / L_v, the
+    shortfall of v's payment p_v, each row of that system is integral:
+
+        L_v s_v - sum over u in D of w_uv s_u = L_v - e_v - sum over payers u of w_uv,
+
+    where w_uv is what u owes v and e_v is v's external assets. It is solved
+    by fraction-free (Bareiss) elimination on ints, one strongly connected
+    block of D at a time, in topological order (``_shortfalls``).
+
+    Why D only grows, and the result is the greatest clearing state: let
+    p^k be the payments after round k (p^0 = L). For v in D_{k+1}, p^k_v is at
+    least what v holds at p^k, with equality if v was in D_k. Writing the
+    system as (I - Q) p_D = r, with Q the nonnegative share matrix of D, the
+    inverse of I - Q, which exists (below), is the nonnegative series
+    I + Q + Q^2 + ..., so p^{k+1} <= p^k: assets only fall, and a defaulter
+    stays one. The same argument with the greatest clearing vector p*
+    (which is at most what it holds, and at most L) gives p* <= p^k in every
+    round. When no firm joins, p^k pays min(assets, L) everywhere, so it is
+    a clearing vector above p*, hence p*. Each solve adds a firm to D, and D
+    never holds all n firms: they form a closed set (below), or one owes
+    nothing. So there are at most n - 1 solves.
+
+    No block is singular. A block's matrix is irreducible and its columns
+    are weakly diagonally dominant, strictly where a firm owes something
+    outside the block; so it is singular only if the block is closed: every
+    firm in it owes only firms in it. A closed set S never lies inside D.
+    Take the first round after which S lies in D. At the payments before it,
+    the firms of S that join hold less than they owe and the others hold
+    exactly what they pay, so S holds less than it pays; yet S receives all
+    of its own payments, so it holds at least that. Every block matrix is
+    therefore a nonsingular M-matrix, whose leading minors (Bareiss's
+    pivots) are positive. The final check that each firm pays min(assets,
+    L) guards all of this and raises ``InconsistentStateError``.
     """
-    total_weight = sum(e.weight for e in net.edges)
-    if max_iterations is None:
-        max_iterations = max(1, 10 * len(net.nodes) * total_weight.bit_length())
-    strategies = [
-        ProRataStrategy(v)
-        for v in net.nodes
-        if net.out_edges(v) and total_liabilities(net, v) > 0
-    ]
-    top = {v: Fraction(a) for v, a in _top(net).items()}
-    state, iterations, converged = _iterate(
-        net, strategies, top, max_iterations, Fraction(0)
-    )
-    return ProRataResult(state, converged, iterations)
+    owed = {v: total_liabilities(net, v) for v in net.nodes}
+    creditors: dict[NodeId, dict[NodeId, Money]] = {u: {} for u in net.nodes if owed[u] > 0}
+    surplus = {v: net.external(v) - owed[v] for v in net.nodes}  # when all pay in full
+    for e in net.edges:
+        if e.src in creditors and e.weight:
+            owes = creditors[e.src]
+            owes[e.dst] = owes.get(e.dst, 0) + e.weight
+            surplus[e.dst] += e.weight
+    shortfall: dict[NodeId, Fraction] = {}
+    loss: dict[NodeId, Fraction] = {}  # what the defaulters' shortfalls cost each creditor
+    rounds = 0
+    while True:
+        rounds += 1
+        joining = [
+            v for v in creditors if v not in shortfall and loss.get(v, 0) > surplus[v]
+        ]
+        if not joining:
+            break
+        shortfall, loss = _shortfalls(creditors, owed, surplus, [*shortfall, *joining])
+
+    paid = {u: 1 - shortfall.get(u, Fraction(0)) for u in creditors}
+    flows = {
+        e.id: e.weight * paid[e.src] if e.src in paid else Fraction(0) for e in net.edges
+    }
+    state = _clearing_state(net, flows, Fraction(0))
+    for v, a in state.assets.items():
+        if a < 0 or (v in paid and owed[v] * paid[v] != min(a, owed[v])):
+            raise InconsistentStateError(f"pro-rata state is not clearing at firm {v!r}")
+    return ProRataResult(state, True, rounds)
+
+
+def _shortfalls(
+    creditors: dict[NodeId, dict[NodeId, Money]],
+    owed: dict[NodeId, Money],
+    surplus: dict[NodeId, Money],
+    default: list[NodeId],
+) -> tuple[dict[NodeId, Fraction], dict[NodeId, Fraction]]:
+    """The shortfalls s_v of ``default`` when those firms pay all they hold
+    and every other firm pays in full, and what they cost each creditor.
+
+    Each strongly connected block of the defaulters' debts is solved once
+    the blocks that pay into it are: its right-hand side is then known, and
+    cleared of denominators before the integer solve."""
+    in_default = set(default)
+    shortfall: dict[NodeId, Fraction] = {}
+    loss: dict[NodeId, Fraction] = {}
+    for block in _blocks(default, lambda u: [v for v in creditors[u] if v in in_default]):
+        pos = {v: i for i, v in enumerate(block)}
+        rhs = [loss.get(v, 0) - surplus[v] for v in block]
+        scale = math.lcm(*(Fraction(r).denominator for r in rhs))
+        rows = [[0] * len(block) + [int(r * scale)] for r in rhs]
+        for j, u in enumerate(block):
+            rows[j][j] += owed[u]
+            for v, w in creditors[u].items():
+                if v in pos:
+                    rows[pos[v]][j] -= w
+        solution, det = _bareiss(rows)
+        for u, y in zip(block, solution):
+            s = shortfall[u] = Fraction(y, det * scale)
+            for v, w in creditors[u].items():
+                loss[v] = loss.get(v, 0) + w * s
+    return shortfall, loss
+
+
+def _blocks(
+    nodes: list[NodeId], successors: Callable[[NodeId], list[NodeId]]
+) -> list[list[NodeId]]:
+    """Strongly connected components of the graph on ``nodes``, each after
+    every component with an edge into it (Tarjan, on an explicit stack)."""
+    index: dict[NodeId, int] = {}
+    low: dict[NodeId, int] = {}
+    stack: list[NodeId] = []
+    on_stack: set[NodeId] = set()
+    blocks: list[list[NodeId]] = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors(root)))]
+        while work:
+            v, pending = work[-1]
+            for w in pending:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(successors(w))))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    block = []
+                    while not block or block[-1] != v:
+                        block.append(stack.pop())
+                        on_stack.discard(block[-1])
+                    blocks.append(block)
+    blocks.reverse()  # Tarjan completes a component after all it reaches
+    return blocks
+
+
+def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Solve the square integer system given as augmented rows [A | b] by
+    fraction-free (Bareiss) elimination without pivoting. Returns (y, d)
+    with A (y / d) = b, d being det A; ``rows`` is consumed. After step t a
+    row holds the minors bordering the leading t x t block, from column t
+    on, so every pivot is a leading principal minor of A, and the caller's
+    matrices have positive ones; a pivot that is not, or a
+    back-substitution that does not divide exactly, raises
+    ``InconsistentStateError``."""
+    prev = 1
+    for t in range(len(rows)):
+        top = rows[t]
+        pivot = top[0]
+        if pivot <= 0:
+            raise InconsistentStateError(f"non-positive pivot {pivot} in a pro-rata block")
+        for r in range(t + 1, len(rows)):
+            row = rows[r]
+            f = row[0]
+            rows[r] = [(pivot * a - f * b) // prev for a, b in zip(row[1:], top[1:])]
+        prev = pivot
+    y = [0] * len(rows)
+    for i in range(len(rows) - 1, -1, -1):
+        row = rows[i]
+        total = prev * row[-1] - sum(a * b for a, b in zip(row[1:-1], y[i + 1 :]))
+        y[i], rest = divmod(total, row[0])
+        if rest:
+            raise InconsistentStateError("inexact back-substitution in a pro-rata block")
+    return y, prev

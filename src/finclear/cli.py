@@ -2,8 +2,9 @@
 
 Every command reads a network document from a file argument (or stdin when
 the argument is "-" or omitted), validates it, and writes deterministic text
-to stdout. Exit codes: 0 success, 2 invalid input, 3 budget or iteration
-exhaustion (partial results are still printed), 64 usage errors.
+to stdout. Exit codes: 0 success, 2 invalid input, 3 budget exhaustion
+(a search still prints its partial results; a Kleene oracle prints only the
+reason, on stderr), 64 usage errors.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .clearing import KleeneStart, clear_pro_rata, kleene_clearing, top_cycle_increase
+from .clearing import (
+    BudgetExhaustedError,
+    KleeneStart,
+    clear_pro_rata,
+    kleene_clearing,
+    top_cycle_increase,
+)
 from .core import (
     UNBOUNDED,
     FinancialNetwork,
@@ -113,13 +120,27 @@ def _full_profile(
     return profile
 
 
+def _decimal(n: int) -> str:
+    """``str(n)`` for an int of any size. ``str`` refuses ints longer than
+    the interpreter's digit limit (4300 by default, 640 at the least), so
+    long ones are split in halves by a power of ten, without touching that
+    process-wide limit."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= 2000:  # at most 603 digits
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half of its digits
+    high, low = divmod(n, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 def _fmt(value) -> str:
     if value is None:
         return "none"
     if value is UNBOUNDED:
         return "unbounded"
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
     return str(value)
 
 
@@ -177,17 +198,20 @@ def _cmd_clear(args) -> int:
             print(f"a_{v} = {_fmt(Fraction(result.state.assets[v]))}")
         print(f"revenue = {_fmt(Fraction(sum(result.state.assets[v] for v in net.nodes)))}")
         print(f"converged = {'true' if result.converged else 'false'}")
-        return EXIT_OK if result.converged else EXIT_EXHAUSTED
+        return EXIT_OK
     override = None
     if args.profile:
         override = _read_document(args.profile).profile
     profile = _full_profile(net, doc.profile, override)
-    if args.oracle == "kleene-top":
-        state = kleene_clearing(net, profile, start=KleeneStart.TOP)
-    elif args.oracle == "kleene-bottom":
-        state = kleene_clearing(net, profile, start=KleeneStart.BOTTOM)
-    else:
+    if args.oracle is None:
         state = top_cycle_increase(net, profile, cycle_rng=_cycle_rng())
+    else:
+        start = KleeneStart.TOP if args.oracle == "kleene-top" else KleeneStart.BOTTOM
+        try:
+            state = kleene_clearing(net, profile, start=start, budget=_budget(args))
+        except BudgetExhaustedError as exc:
+            print(f"{args.oracle}: {exc}", file=sys.stderr)
+            return EXIT_EXHAUSTED
     for v in net.nodes:
         print(f"a_{v} = {state.assets[v]}")
     print(f"revenue = {revenue(net, state)}")
@@ -390,6 +414,7 @@ def _build_parser() -> _Parser:
     clear.add_argument("--profile", help="document supplying the strategy profile")
     clear.add_argument("--pro-rata", action="store_true")
     clear.add_argument("--oracle", choices=["kleene-top", "kleene-bottom"])
+    _add_budget_flags(clear)  # bounds the Kleene oracles, one candidate per iteration
 
     opt_se = with_network(sub.add_parser("opt-se", help="optimal strong equilibrium"))
     opt_se.add_argument("--emit-document", action="store_true",

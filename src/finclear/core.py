@@ -8,6 +8,7 @@ pro-rata clearing); nothing is ever represented in floating point.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -182,6 +183,38 @@ def total_liabilities(net: FinancialNetwork, v: NodeId) -> Money:
             raise InconsistentStateError(f"unbounded liability on base edge {e.id}")
         total += e.weight
     return total
+
+
+@dataclass(frozen=True)
+class SearchBudget:
+    """Caps on evaluated candidates and wall-clock time for a single search."""
+
+    max_candidates: int = 1_000_000
+    timeout_secs: float = 60.0
+
+
+class _Exhausted(Exception):
+    """Internal control flow: the budget ran out mid-search. The message names
+    the cap that ran out."""
+
+
+class _Meter:
+    __slots__ = ("limit", "timeout", "deadline", "used")
+
+    def __init__(self, budget: SearchBudget) -> None:
+        self.limit = budget.max_candidates
+        self.timeout = budget.timeout_secs
+        self.deadline = time.monotonic() + budget.timeout_secs
+        self.used = 0
+
+    def charge(self, amount: int = 1) -> None:
+        self.used += amount
+        if self.used > self.limit or time.monotonic() > self.deadline:
+            raise _Exhausted(
+                f"candidate cap of {self.limit} reached"
+                if self.used > self.limit
+                else f"timeout of {self.timeout} s reached"
+            )
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -36,7 +35,10 @@ from .core import (
     InconsistentStateError,
     Money,
     NodeId,
+    SearchBudget,
     UnboundedType,
+    _Exhausted,
+    _Meter,
     build_circulation_network,
     decompose_circulation,
     node_key,
@@ -64,32 +66,6 @@ class Verdict(Enum):
     NOT_NASH = "not-nash"
     STRONG = "strong"
     NOT_STRONG = "not-strong"
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Caps on evaluated candidates and wall-clock time for a single search."""
-
-    max_candidates: int = 1_000_000
-    timeout_secs: float = 60.0
-
-
-class _Exhausted(Exception):
-    """Internal control flow: the budget ran out mid-search."""
-
-
-class _Meter:
-    __slots__ = ("limit", "deadline", "used")
-
-    def __init__(self, budget: SearchBudget) -> None:
-        self.limit = budget.max_candidates
-        self.deadline = time.monotonic() + budget.timeout_secs
-        self.used = 0
-
-    def charge(self, amount: int = 1) -> None:
-        self.used += amount
-        if self.used > self.limit or time.monotonic() > self.deadline:
-            raise _Exhausted()
 
 
 class _Game:

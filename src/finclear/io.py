@@ -68,6 +68,14 @@ def _require_int(value: Any, path: str) -> int:
     return value
 
 
+def _consumed(entries: list):
+    """(index, entry) pairs, each entry dropped from the list as it is handed
+    out, so that the parsed JSON is freed while the network is built."""
+    for i in range(len(entries)):
+        entry, entries[i] = entries[i], None
+        yield i, entry
+
+
 def _reject_unknown(obj: Mapping[str, Any], allowed: set[str], path: str) -> None:
     unknown = sorted(set(obj) - allowed)
     if unknown:
@@ -120,7 +128,7 @@ def parse_document(text: str) -> NetworkDocument:
 
     nodes = []
     externals = {}
-    for i, entry in enumerate(_require_list(top.get("nodes"), "nodes")):
+    for i, entry in _consumed(_require_list(top.get("nodes"), "nodes")):
         path = f"nodes[{i}]"
         obj = _require_mapping(entry, path)
         _reject_unknown(obj, {"id", "external"}, path)
@@ -132,7 +140,7 @@ def parse_document(text: str) -> NetworkDocument:
         externals[node] = external
 
     edges = []
-    for i, entry in enumerate(_require_list(top.get("edges", []), "edges")):
+    for i, entry in _consumed(_require_list(top.get("edges", []), "edges")):
         path = f"edges[{i}]"
         obj = _require_mapping(entry, path)
         _reject_unknown(obj, {"id", "src", "dst", "weight"}, path)
@@ -154,7 +162,7 @@ def parse_document(text: str) -> NetworkDocument:
     net = FinancialNetwork.build(nodes, externals, edges)
     strategies = [
         _parse_strategy(entry, i)
-        for i, entry in enumerate(_require_list(top.get("strategies", []), "strategies"))
+        for i, entry in _consumed(_require_list(top.get("strategies", []), "strategies"))
     ]
     owners = [s.owner for s in strategies]
     if len(set(owners)) != len(owners):

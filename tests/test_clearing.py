@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,14 +13,19 @@ from finclear import (
     EdgeRankingStrategy,
     FinancialNetwork,
     KleeneStart,
+    SearchBudget,
     StrategyProfile,
     clear_pro_rata,
     kleene_clearing,
     revenue,
     top_cycle_increase,
 )
-from finclear.clearing import ProfileError
-from _samplers import random_net, random_profile
+from finclear import cli
+from finclear.clearing import BudgetExhaustedError, ProfileError, _top
+from finclear.core import total_liabilities
+from finclear.io import load_network
+from finclear.strategies import ProRataStrategy, pro_rata_payment
+from _samplers import random_net, random_profile, with_external
 
 
 def two_cycle(ext_u: int = 1) -> tuple[FinancialNetwork, StrategyProfile]:
@@ -83,6 +89,28 @@ def test_push_agrees_with_both_kleene_oracles(seed):
     assert all(from_bottom.assets[v] <= pushed.assets[v] for v in net.nodes)
 
 
+def test_kleene_budget_counts_iterations():
+    """From the top the unfunded two-cycle is already a fixed point: one
+    iteration. In the leaky 9-cycle u pays v all it holds and v pays s 1
+    first, so a lap maps (a_u, a_v, a_s) to (max(0, a_v - 1), a_u,
+    min(1, a_v)): from (9, 9, 1) every two laps lower u and v by one, they
+    reach 0 after 18 laps, s after 19, and the 20th confirms it."""
+    net, profile = two_cycle(ext_u=0)
+    tight = SearchBudget(max_candidates=1)
+    assert kleene_clearing(net, profile, budget=tight).assets == {"u": 1, "v": 1}
+    leaky = FinancialNetwork.build(
+        ["s", "u", "v"], {}, [(0, "u", "v", 9), (1, "v", "u", 9), (2, "v", "s", 1)]
+    )
+    leaky_profile = StrategyProfile.of(
+        [EdgeRankingStrategy("u", (0,)), EdgeRankingStrategy("v", (2, 1))]
+    )
+    assert kleene_clearing(leaky, leaky_profile, budget=SearchBudget(20)).assets == {
+        "s": 0, "u": 0, "v": 0,
+    }
+    with pytest.raises(BudgetExhaustedError, match="after 19 iterations: candidate cap of 19 "):
+        kleene_clearing(leaky, leaky_profile, budget=SearchBudget(19))
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_cycle_choice_never_affects_the_result(seed):
@@ -117,30 +145,140 @@ class TestProRata:
         assert result.state.assets["c"] == Fraction(5, 2)
 
     def test_leaky_cycle_contracts_forever(self):
-        """An unsaturated cycle with a side drain halves its error every lap,
-        so exact iteration never lands on the fixed point; the cap reports
-        non-convergence and the iterate stays an upper bound."""
+        """An unsaturated cycle with a side drain: Jacobi iteration halves its
+        error every lap and never lands, but the fixed point is exact. Both u
+        and v default and pay all they hold, so a_v = a_u and a_u = 1 + a_v / 2,
+        whence a_u = a_v = 2 and the drain s gets half of v's 2."""
         net = FinancialNetwork.build(
             ["u", "v", "s"],
             {"u": 1},
             [(0, "u", "v", 10), (1, "v", "u", 10), (2, "v", "s", 10)],
         )
         result = clear_pro_rata(net)
-        assert not result.converged
-        # True fixed point: a_u = 2, a_v = 2, a_s = 1.
-        assert result.state.assets["u"] >= 2
-        assert result.state.assets["v"] >= 2
-        assert result.state.assets["u"] - 2 < Fraction(1, 10**9)
+        assert result.converged
+        assert result.state.assets == {"u": Fraction(2), "v": Fraction(2), "s": Fraction(1)}
+        assert result.iterations == 3  # v defaults, then u, then no one
 
-    def test_iteration_cap_is_respected(self):
+    def test_unfunded_mutual_cycle_clears_to_its_greatest_state(self):
+        """u and v owe each other 10 and hold nothing. Every (c, c) with
+        0 <= c <= 10 is a clearing state; the greatest pays in full."""
+        net = FinancialNetwork.build(["u", "v"], {}, [(0, "u", "v", 10), (1, "v", "u", 10)])
+        result = clear_pro_rata(net)
+        assert result.state.assets == {"u": Fraction(10), "v": Fraction(10)}
+        assert result.iterations == 1
+
+    def test_zero_weight_debtor_keeps_its_assets(self):
+        """z owes only zero-weight edges: it pays nothing and keeps its 3."""
         net = FinancialNetwork.build(
-            ["u", "v", "s"],
-            {"u": 1},
-            [(0, "u", "v", 10), (1, "v", "u", 10), (2, "v", "s", 10)],
+            ["a", "z"], {"a": 1, "z": 3}, [(0, "z", "a", 0), (1, "a", "z", 2)]
         )
-        result = clear_pro_rata(net, max_iterations=5)
-        assert result.iterations == 5
-        assert not result.converged
+        result = clear_pro_rata(net)
+        assert result.state.assets == {"a": Fraction(1), "z": Fraction(4)}
+        assert result.state.flows.get(0) == 0
+
+    @pytest.mark.parametrize("name", ["pro_rata_ring12.json", "pro_rata_ring40.json"])
+    def test_ring_documents_clear_exactly_and_fast(self, name, fixtures_dir, capsys):
+        """Two ring-plus-random documents (12 firms with weights up to 1000,
+        40 firms with weights up to 30) on which iterating the proportional
+        map ran into Python's int-to-str limit or for more than 40 s."""
+        path = fixtures_dir / name
+        started = time.perf_counter()
+        code = cli.main(["clear", "--pro-rata", str(path)])
+        elapsed = time.perf_counter() - started
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[-1] == "converged = true"
+        assert elapsed < 1.0
+        net = load_network(str(path))
+        printed = {
+            line.split(" = ")[0][2:]: Fraction(line.split(" = ")[1]) for line in out[:-2]
+        }
+        assert printed == _pro_rata_map(net, printed)
+
+
+def _pro_rata_map(net: FinancialNetwork, assets) -> dict:
+    """Externals plus the proportional payments at ``assets``."""
+    flows = {}
+    for v in net.nodes:
+        if total_liabilities(net, v) > 0:
+            flows.update(pro_rata_payment(ProRataStrategy(v), net, assets[v]))
+    new = {v: Fraction(net.external(v)) for v in net.nodes}
+    for e in net.edges:
+        new[e.dst] += flows.get(e.id, 0)
+    return new
+
+
+def _pro_rata_net(rng: random.Random) -> FinancialNetwork:
+    """Up to 8 firms; some edges weigh 0, so some debtors owe nothing."""
+    net = random_net(rng, max_nodes=8, max_edges=16)
+    edges = [(e.id, e.src, e.dst, e.weight * (rng.random() > 0.1)) for e in net.edges]
+    return FinancialNetwork.build(net.nodes, net.external_assets, edges)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_pro_rata_is_the_fixed_point_below_every_jacobi_iterate(seed):
+    """The greatest fixed point lies below every iterate of the proportional
+    map from the top, which falls towards it; where the iteration lands
+    within 40 laps it lands on it. Firms with at most one creditor pay alike
+    under pro-rata and under any ranking, so then the push kernel agrees."""
+    net = _pro_rata_net(random.Random(seed))
+    result = clear_pro_rata(net)
+    assets = result.state.assets
+    assert result.converged and result.iterations <= len(net.nodes)
+    assert _pro_rata_map(net, assets) == assets
+    iterate = {v: Fraction(a) for v, a in _top(net).items()}
+    for _ in range(40):
+        assert all(iterate[v] >= assets[v] for v in net.nodes)
+        following = _pro_rata_map(net, iterate)
+        if following == iterate:
+            assert iterate == assets
+            break
+        iterate = following
+    creditors = {v: {e.dst for e in net.out_edges(v) if e.weight} for v in net.nodes}
+    if all(len(c) <= 1 for c in creditors.values()):
+        profile = StrategyProfile.of(
+            [EdgeRankingStrategy(v, tuple(e.id for e in net.out_edges(v)))
+             for v in net.nodes if net.out_edges(v)]
+        )
+        assert top_cycle_increase(net, profile).assets == assets
+
+
+def _relabelled(net: FinancialNetwork, rng: random.Random):
+    names = [f"r{i}" for i in range(len(net.nodes))]
+    rng.shuffle(names)
+    rename = dict(zip(net.nodes, names))
+    ids = [e.id for e in net.edges]
+    rng.shuffle(ids)
+    edges = [(i, rename[e.src], rename[e.dst], e.weight) for i, e in zip(ids, net.edges)]
+    externals = {rename[v]: x for v, x in net.external_assets.items()}
+    return FinancialNetwork.build(names, externals, edges), rename
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 5))
+@settings(max_examples=60, deadline=None)
+def test_pro_rata_metamorphic_properties(seed, extra, k):
+    """Relabelling firms and edges relabels the state; more external assets
+    never lower anyone's assets; scaling every weight and external by k
+    scales the state by k."""
+    rng = random.Random(seed)
+    net = _pro_rata_net(rng)
+    assets = clear_pro_rata(net).state.assets
+
+    renamed, rename = _relabelled(net, rng)
+    again = clear_pro_rata(renamed).state.assets
+    assert {v: again[rename[v]] for v in net.nodes} == assets
+
+    v = rng.choice(net.nodes)
+    more = clear_pro_rata(with_external(net, v, net.external(v) + extra)).state.assets
+    assert all(more[u] >= assets[u] for u in net.nodes)
+
+    scaled = FinancialNetwork.build(
+        net.nodes,
+        {v: k * x for v, x in net.external_assets.items()},
+        [(e.id, e.src, e.dst, k * e.weight) for e in net.edges],
+    )
+    assert clear_pro_rata(scaled).state.assets == {v: k * a for v, a in assets.items()}
 
 
 @given(st.integers(0, 2**32 - 1))

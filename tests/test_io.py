@@ -6,8 +6,11 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+
+from finclear.cli import _fmt
 
 from finclear import (
     UNBOUNDED,
@@ -214,6 +217,35 @@ class TestCli:
         assert "a_u = 2/1" in result.stdout
         assert "a_v = 1/1" in result.stdout
 
+    def test_kleene_oracle_stops_at_its_budget(self):
+        """u and v owe each other W and hold nothing; v pays 1 to s first.
+        From the top, each Jacobi lap lowers the cycle by one unit, so the
+        oracle would take W laps to reach revenue 0."""
+        w = 10**6
+        doc = {
+            "nodes": [{"id": v, "external": 0} for v in ("s", "u", "v")],
+            "edges": [
+                {"id": 0, "src": "u", "dst": "v", "weight": w},
+                {"id": 1, "src": "v", "dst": "u", "weight": w},
+                {"id": 2, "src": "v", "dst": "s", "weight": 1},
+            ],
+            "strategies": [
+                {"owner": "u", "kind": "edge-ranking", "ranking": [0]},
+                {"owner": "v", "kind": "edge-ranking", "ranking": [2, 1]},
+            ],
+        }
+        text = json.dumps(doc)
+        capped = run_cli("clear", "--oracle", "kleene-top", "--max-candidates", "50", stdin=text)
+        assert capped.returncode == 3
+        assert capped.stdout == ""
+        assert capped.stderr == "kleene-top: stopped after 50 iterations: candidate cap of 50 reached\n"
+        timed = run_cli("clear", "--oracle", "kleene-top", "--timeout-secs", "0.2", stdin=text)
+        assert timed.returncode == 3
+        assert "timeout of 0.2 s reached" in timed.stderr
+        bottom = run_cli("clear", "--oracle", "kleene-bottom", "--max-candidates", "50", stdin=text)
+        assert bottom.returncode == 0  # from the bottom, nothing moves
+        assert bottom.stdout.splitlines()[-1] == "revenue = 0"
+
     def test_unknown_subcommand_exits_64_with_usage(self):
         result = run_cli("frobnicate")
         assert result.returncode == 64
@@ -305,3 +337,23 @@ class TestCli:
             result = run_cli("gen", *argv.split())
             assert result.returncode == 64, argv
             assert "Traceback" not in result.stderr, argv
+
+
+def _reference_digits(n: int) -> str:
+    """Decimal digits of n >= 0, 18 at a time from the low end."""
+    chunks = []
+    while True:
+        n, low = divmod(n, 10**18)
+        if not n:
+            return "".join([str(low), *(f"{c:018d}" for c in reversed(chunks))])
+        chunks.append(low)
+
+
+def test_fmt_prints_fractions_past_the_int_to_str_limit():
+    limit = sys.get_int_max_str_digits()
+    sevens = 7 * (10**5000 - 1) // 9
+    assert _fmt(Fraction(sevens, 10**4999 + 3)).split("/") == ["7" * 5000, "1" + "0" * 4998 + "3"]
+    big = random.Random(3).getrandbits(30_000)
+    assert _fmt(Fraction(-big, 7)) == f"-{_reference_digits(big)}/7"
+    assert _fmt(Fraction(12, 8)) == "3/2"
+    assert sys.get_int_max_str_digits() == limit
