@@ -40,7 +40,7 @@ from .core import (
 )
 from .strategies import (
     EdgeRankingStrategy,
-    Strategy,
+    RankingStrategy,
     StrategyProfile,
     ThresholdRankingStrategy,
     check_strategy,
@@ -241,7 +241,7 @@ def _clearing_state(
 
 def _iterate(
     net: FinancialNetwork,
-    strategies: list[Strategy],
+    strategies: list[RankingStrategy],
     assets: dict[NodeId, Money],
     cap: int,
     budget: SearchBudget | None,

@@ -184,14 +184,9 @@ def pro_rata_payment(
     return {e.id: min(Fraction(e.weight), y * e.weight / total) for e in out}
 
 
-def payment_vector(strat: Strategy, net: FinancialNetwork, y) -> dict[EdgeId, Money]:
-    """Per-edge payments of the owner holding assets y.
-
-    A ranking strategy fills its ``payment_segments`` in order until y runs
-    out; pro-rata splits y proportionally.
-    """
-    if isinstance(strat, ProRataStrategy):
-        return pro_rata_payment(strat, net, y)
+def payment_vector(strat: RankingStrategy, net: FinancialNetwork, y) -> dict[EdgeId, Money]:
+    """Per-edge payments of the owner holding assets y: its
+    ``payment_segments`` filled in order until y runs out."""
     if y < 0:
         raise StrategyError("assets must be non-negative")
     segments = payment_segments(strat, net)
