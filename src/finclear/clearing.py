@@ -5,8 +5,8 @@ exact, for edge/threshold-ranking profiles; it works on the circulation
 network and repeatedly pushes flow around cycles of per-firm "active" edges.
 ``kleene_clearing`` is the lattice-theoretic oracle: Jacobi iteration of the
 asset operator from the top (greatest fixed point) or bottom (least), slow but
-independent, used to cross-check; ``_iterate`` runs it under an optional
-budget. ``clear_pro_rata`` is the exact clearing of the proportional baseline:
+independent, used to cross-check, under an optional budget.
+``clear_pro_rata`` is the exact clearing of the proportional baseline:
 the fictitious default algorithm, at most n rounds of exact integer
 elimination, where iterating the proportional map would only converge in the
 limit.
@@ -40,7 +40,6 @@ from .core import (
 )
 from .strategies import (
     EdgeRankingStrategy,
-    RankingStrategy,
     StrategyProfile,
     ThresholdRankingStrategy,
     check_strategy,
@@ -50,10 +49,6 @@ from .strategies import (
 
 
 class ProfileError(FinclearError):
-    pass
-
-
-class IterationLimitError(FinclearError):
     pass
 
 
@@ -67,17 +62,22 @@ class KleeneStart(Enum):
 
 
 def _check_ranking_profile(net: FinancialNetwork, profile: StrategyProfile) -> None:
+    """Raise unless every firm with out-edges has a well-formed ranking strategy."""
     for v in net.nodes:
-        if not net.out_edges(v):
-            continue
-        strat = profile.strategy_for(v)
-        if strat is None:
-            raise ProfileError(f"no strategy for firm {v!r} with outgoing edges")
-        if not isinstance(strat, (EdgeRankingStrategy, ThresholdRankingStrategy)):
-            raise ProfileError(
-                f"firm {v!r} has a {type(strat).__name__}; ranking strategy required"
-            )
-        check_strategy(strat, net)
+        if net.out_edges(v):
+            _check_ranking(net, v, profile.strategy_for(v))
+
+
+def _check_ranking(net: FinancialNetwork, v: NodeId, strat) -> None:
+    """Raise ``ProfileError`` unless ``strat`` is a ranking strategy, and
+    ``StrategyError`` unless it is well-formed for v's out-edges."""
+    if strat is None:
+        raise ProfileError(f"no strategy for firm {v!r} with outgoing edges")
+    if not isinstance(strat, (EdgeRankingStrategy, ThresholdRankingStrategy)):
+        raise ProfileError(
+            f"firm {v!r} has a {type(strat).__name__}; ranking strategy required"
+        )
+    check_strategy(strat, net)
 
 
 def top_cycle_increase(
@@ -93,32 +93,8 @@ def top_cycle_increase(
     the knob exists so tests can demonstrate exactly that.
     """
     circ = build_circulation_network(net)
+    _check_ranking_profile(net, profile)
     return clear_circulation(circ, profile, cycle_rng=cycle_rng)
-
-
-def clear_circulation(
-    circ: CirculationNetwork,
-    profile: StrategyProfile,
-    *,
-    cycle_rng: random.Random | None = None,
-) -> ClearingState:
-    """Run the cycle-pushing algorithm on a prebuilt circulation network.
-
-    Every firm always has an active edge (its surplus edge to the source is
-    last, with unbounded room), so flow walks die only at the exhausted
-    source. Each push saturates at least one finite segment, bounding the
-    number of pushes by |V| + 2|E| + 2.
-
-    The walks cost O(V + E + the summed lengths of the pushed cycles), on
-    two invariants. A node is dead once its walk reaches the exhausted
-    source; dead nodes never revive, because a dead node's walk runs through
-    dead nodes only and a push moves only the active edges of its cycle's
-    nodes, which are not dead. And after a push the walk stays valid up to
-    the first cycle node whose segment saturated: it resumes there, and the
-    scan over start nodes resumes where it stopped.
-    """
-    _check_ranking_profile(circ.base, profile)
-    return _clear(circ, profile, cycle_rng)
 
 
 class _Kernel:
@@ -143,16 +119,37 @@ class _Kernel:
         self.capacity = 1 + sum(self.external) + sum(e.weight for e in circ.base.edges)
 
 
-def _clear(
+def clear_circulation(
     circ: CirculationNetwork,
     profile: StrategyProfile,
+    *,
     cycle_rng: random.Random | None = None,
     surgery: tuple[NodeId, tuple[EdgeId, ...]] | None = None,
 ) -> ClearingState:
-    """``clear_circulation`` without the profile check. Surgery (v, paid):
-    v pays exactly the edges ``paid``, in order, then surplus, out of
-    externals raised by len(paid), whatever ``profile`` says. Assets count
-    the network's externals; v's inflow is its ``internal_assets`` entry."""
+    """Run the cycle-pushing algorithm on a prebuilt circulation network.
+
+    The kernel checks no strategy: ``profile`` must have passed
+    ``_check_ranking_profile`` against ``circ.base``, as the public entry
+    points and ``_Game`` ensure. Only a firm with out-edges and no strategy
+    raises ``ProfileError``, from the schedule loop that looks it up.
+    Surgery (v, paid): v pays exactly the edges ``paid``, in order, then
+    surplus, out of externals raised by len(paid), whatever ``profile``
+    says. Assets count the network's externals; v's inflow is its
+    ``internal_assets`` entry.
+
+    Every firm always has an active edge (its surplus edge to the source is
+    last, with unbounded room), so flow walks die only at the exhausted
+    source. Each push saturates at least one finite segment, bounding the
+    number of pushes by |V| + 2|E| + 2.
+
+    The walks cost O(V + E + the summed lengths of the pushed cycles), on
+    two invariants. A node is dead once its walk reaches the exhausted
+    source; dead nodes never revive, because a dead node's walk runs through
+    dead nodes only and a push moves only the active edges of its cycle's
+    nodes, which are not dead. And after a push the walk stays valid up to
+    the first cycle node whose segment saturated: it resumes there, and the
+    scan over start nodes resumes where it stopped.
+    """
     kernel = circ._kernel
     if kernel is None:
         kernel = _Kernel(circ)
@@ -167,8 +164,12 @@ def _clear(
             strat = EdgeRankingStrategy(v, surgery[1])
             external = external.copy()
             external[i] += extra
+        elif net.out_edges(v):
+            strat = profile.strategy_for(v)
+            if strat is None:
+                raise ProfileError(f"no strategy for firm {v!r} with outgoing edges")
         else:
-            strat = profile.strategy_for(v) if net.out_edges(v) else None
+            strat = None
         if strat is not None:
             schedules[i] = [(slot[e], length) for e, length in payment_segments(strat, net)]
         schedules[i].append((m + 2 * i, room))
@@ -239,42 +240,6 @@ def _clearing_state(
     return ClearingState(assets, internal, FlowAssignment(flows))
 
 
-def _iterate(
-    net: FinancialNetwork,
-    strategies: list[RankingStrategy],
-    assets: dict[NodeId, Money],
-    cap: int,
-    budget: SearchBudget | None,
-) -> ClearingState:
-    """Jacobi iteration of a -> external + inflow(payments at a) from
-    ``assets`` to its first fixed point; edges of firms without a strategy
-    carry 0. Each iteration is charged to ``budget``; more than ``cap``
-    iterations mean some strategy is not monotone."""
-    meter = _Meter(budget) if budget is not None else None
-    idle = {e.id: 0 for e in net.edges}
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > cap:
-            raise IterationLimitError(
-                f"no fixed point after {cap} iterations; a strategy is not monotone"
-            )
-        if meter is not None:
-            try:
-                meter.charge()
-            except _Exhausted as exc:
-                raise BudgetExhaustedError(
-                    f"stopped after {iterations - 1} iterations: {exc}"
-                ) from None
-        flows = dict(idle)
-        for strat in strategies:
-            flows.update(payment_vector(strat, net, assets[strat.owner]))
-        state = _clearing_state(net, flows)
-        if state.assets == assets:
-            return state
-        assets = state.assets
-
-
 def _top(net: FinancialNetwork) -> dict[NodeId, Money]:
     """Externals plus incoming capacity: an upper bound on every firm's assets."""
     return {
@@ -297,15 +262,37 @@ def kleene_clearing(
     from the full previous vector, and may take one iteration per unit of
     weight. Each iteration counts as one candidate against ``budget``; when
     the budget runs out, ``BudgetExhaustedError`` names the cap that did.
-    Exceeding the iteration cap means some strategy is not monotone, which
-    ranking strategies never are.
+
+    Ranking strategies are monotone, so the iterates are monotone, integral
+    and between 0 and ``_top``: each one before the fixed point changes the
+    asset sum, so there are at most sum(top) + 1 iterations. One more raises
+    ``InconsistentStateError``.
     """
     _check_ranking_profile(net, profile)
     top = _top(net)
     assets = top if start is KleeneStart.TOP else {v: 0 for v in net.nodes}
-    cap = sum(top.values()) + len(net.nodes) + 6
+    cap = sum(top.values()) + 1
     payers = [profile.strategy_for(v) for v in net.nodes if net.out_edges(v)]
-    return _iterate(net, payers, assets, cap, budget)
+    meter = _Meter(budget) if budget is not None else None
+    iterations = 0
+    while True:
+        iterations += 1
+        if iterations > cap:
+            raise InconsistentStateError(f"no fixed point after {cap} iterations")
+        if meter is not None:
+            try:
+                meter.charge()
+            except _Exhausted as exc:
+                raise BudgetExhaustedError(
+                    f"stopped after {iterations - 1} iterations: {exc}"
+                ) from None
+        flows: dict[EdgeId, Money] = {}
+        for strat in payers:
+            flows.update(payment_vector(strat, net, assets[strat.owner]))
+        state = _clearing_state(net, flows)
+        if state.assets == assets:
+            return state
+        assets = state.assets
 
 
 @dataclass(frozen=True)

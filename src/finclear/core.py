@@ -148,19 +148,21 @@ class FinancialNetwork:
             by_id[e.id] = e
             out.setdefault(e.src, []).append(e)
             inc.setdefault(e.dst, []).append(e)
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_in", inc)
+        object.__setattr__(self, "_out", {v: tuple(es) for v, es in out.items()})
+        object.__setattr__(self, "_in", {v: tuple(es) for v, es in inc.items()})
         object.__setattr__(self, "_by_id", by_id)
 
     def out_edges(self, v: NodeId) -> tuple[LiabilityEdge, ...]:
-        if v not in self._out:
-            raise UnknownNodeError(f"unknown node {v!r}")
-        return tuple(self._out[v])
+        try:
+            return self._out[v]
+        except KeyError:
+            raise UnknownNodeError(f"unknown node {v!r}") from None
 
     def in_edges(self, v: NodeId) -> tuple[LiabilityEdge, ...]:
-        if v not in self._in:
-            raise UnknownNodeError(f"unknown node {v!r}")
-        return tuple(self._in[v])
+        try:
+            return self._in[v]
+        except KeyError:
+            raise UnknownNodeError(f"unknown node {v!r}") from None
 
     def edge(self, edge_id: EdgeId) -> LiabilityEdge:
         try:

@@ -51,7 +51,7 @@ from .strategies import (
     ThresholdRankingStrategy,
     behavior_signature,
 )
-from .clearing import _check_ranking_profile, _clear, clear_circulation
+from .clearing import _check_ranking, clear_circulation
 
 
 class SearchSpace(Enum):
@@ -85,7 +85,9 @@ class _Game:
     ``net.nodes`` order) per code, cleared by ``clear_circulation`` on the
     first lookup. The meter is charged per strategy candidate as a tuple is
     built and per table miss: each candidate and each distinct profile is
-    charged once per game.
+    charged once per game. The given strategies are checked once, here;
+    the strategies built from ``net.out_edges`` need no check, so no clear
+    checks any.
     """
 
     def __init__(
@@ -103,6 +105,9 @@ class _Game:
             given = given.strategies
         self.given = dict(given or {})
         self.firms = [v for v in net.nodes if net.out_edges(v)]
+        for v in self.firms:
+            if v in self.given:
+                _check_ranking(net, v, self.given[v])
         self.at = {v: i for i, v in enumerate(net.nodes)}
         self.options: dict[NodeId, tuple[RankingStrategy, ...]] = {}
         self.space_size: dict[NodeId, int] = {}
@@ -120,7 +125,7 @@ class _Game:
         self.space_size[v] = len(opts)
         home = None
         given = self.given.get(v)
-        if isinstance(given, (EdgeRankingStrategy, ThresholdRankingStrategy)):
+        if given is not None:
             sigs = [behavior_signature(s, self.net) for s in opts + (given,)]
             home = sigs.index(sigs[-1])
             if home == len(opts):
@@ -422,9 +427,6 @@ class _ExactPayoffs:
     def __init__(self, game: _Game, v: NodeId):
         self.game = game
         self.v = v
-        # v's entry, a stand-in for the surgery, passes the profile check.
-        out_ids = tuple(sorted(e.id for e in game.net.out_edges(v)))
-        self.profile = StrategyProfile({**game.given, v: EdgeRankingStrategy(v, out_ids)})
         self._cache: dict[tuple[EdgeId, ...], Money] = {}
 
     def inflow(self, subset: Sequence[EdgeId]) -> Money:
@@ -433,9 +435,8 @@ class _ExactPayoffs:
         if hit is not None:
             return hit
         self.game.meter.charge()
-        if not self._cache:
-            _check_ranking_profile(self.game.net, self.profile)
-        state = _clear(self.game.circ, self.profile, surgery=(self.v, key))
+        given = StrategyProfile(self.game.given)
+        state = clear_circulation(self.game.circ, given, surgery=(self.v, key))
         value = state.internal_assets[self.v]
         self._cache[key] = value
         return value
@@ -553,7 +554,7 @@ def _best_response(game: _Game, v: NodeId) -> BestResponse:
         raise FinclearError(f"{v!r} has no outgoing edges; nothing to optimize")
     used_before = game.meter.used
     current = game.given.get(v)
-    if isinstance(current, (EdgeRankingStrategy, ThresholdRankingStrategy)):
+    if current is not None:
         base = game.clear(0)[game.at[v]]
         if base >= total_liabilities(net, v):
             # A solvent firm's strategy never changes the clearing state.

@@ -1,11 +1,11 @@
 """Payment-strategy semantics: how a firm's assets map to per-edge payments.
 
-Three strategy kinds exist. Edge-ranking pays debts one ranked edge at a time
+Two strategy kinds exist. Edge-ranking pays debts one ranked edge at a time
 to saturation. Threshold-ranking makes two passes over a ranking: first up to
-a per-edge threshold, then the remainders. Pro-rata splits proportionally and
-is the non-strategic baseline. Edge- and threshold-ranking are the monotone
-integer strategies the clearing and equilibrium machinery searches over. Both
-are defined by one schedule, ``payment_segments``: an ordered list of
+a per-edge threshold, then the remainders. They are the monotone integer
+strategies the clearing and equilibrium machinery searches over; the
+non-strategic pro-rata baseline (``clear_pro_rata``) takes none. Both kinds are
+defined by one schedule, ``payment_segments``: an ordered list of
 (edge, length) segments that the firm's assets fill one unit at a time. An
 edge ranking is a threshold ranking with zero thresholds, and threshold
 rankings suffice to reproduce any monotone integer schedule's clearing
@@ -15,7 +15,6 @@ outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .core import (
@@ -68,14 +67,6 @@ class ThresholdRankingStrategy:
         return dict(self.thresholds)
 
 
-@dataclass(frozen=True)
-class ProRataStrategy:
-    """Proportional split of assets over outgoing liabilities; no free parameters."""
-
-    owner: NodeId
-
-
-Strategy = Union[EdgeRankingStrategy, ThresholdRankingStrategy, ProRataStrategy]
 RankingStrategy = Union[EdgeRankingStrategy, ThresholdRankingStrategy]
 
 
@@ -83,18 +74,20 @@ RankingStrategy = Union[EdgeRankingStrategy, ThresholdRankingStrategy]
 class StrategyProfile:
     """One strategy per firm; firms with outgoing edges must all be covered."""
 
-    strategies: Mapping[NodeId, Strategy]
+    strategies: Mapping[NodeId, RankingStrategy]
 
     @staticmethod
-    def of(strategies: Iterable[Strategy] | Mapping[NodeId, Strategy]) -> "StrategyProfile":
+    def of(
+        strategies: Iterable[RankingStrategy] | Mapping[NodeId, RankingStrategy],
+    ) -> "StrategyProfile":
         if isinstance(strategies, Mapping):
             return StrategyProfile(dict(strategies))
         return StrategyProfile({s.owner: s for s in strategies})
 
-    def strategy_for(self, v: NodeId) -> Strategy | None:
+    def strategy_for(self, v: NodeId) -> RankingStrategy | None:
         return self.strategies.get(v)
 
-    def replace(self, *new: Strategy) -> "StrategyProfile":
+    def replace(self, *new: RankingStrategy) -> "StrategyProfile":
         merged = dict(self.strategies)
         for s in new:
             merged[s.owner] = s
@@ -116,13 +109,9 @@ class SegmentCursor:
     segment_remaining: Money | UnboundedType
 
 
-def check_strategy(strat: Strategy, net: FinancialNetwork) -> None:
+def check_strategy(strat: RankingStrategy, net: FinancialNetwork) -> None:
     """Raise StrategyError unless the strategy is well-formed for this network."""
     out_ids = sorted(e.id for e in net.out_edges(strat.owner))
-    if isinstance(strat, ProRataStrategy):
-        if out_ids and total_liabilities(net, strat.owner) == 0:
-            raise StrategyError(f"{strat.owner!r} has outgoing edges but zero total liabilities")
-        return
     if sorted(strat.ranking) != out_ids:
         raise StrategyError(
             f"ranking of {strat.owner!r} is not a permutation of its outgoing edges"
@@ -162,26 +151,6 @@ def payment_segments(strat: RankingStrategy, net: FinancialNetwork) -> list[tupl
         if rest > 0:
             segments.append((e_id, rest))
     return segments
-
-
-def pro_rata_payment(
-    strat: ProRataStrategy, net: FinancialNetwork, y: Money | Fraction
-) -> dict[EdgeId, Fraction]:
-    """Exact proportional payment: min(cap, y * cap / total liabilities) per edge."""
-    if y < 0:
-        raise StrategyError("assets must be non-negative")
-    out = net.out_edges(strat.owner)
-    if not out:
-        return {}
-    total = total_liabilities(net, strat.owner)
-    if total == 0:
-        if y > 0:
-            raise StrategyError(
-                f"{strat.owner!r} has zero total liabilities; pro-rata shares are undefined"
-            )
-        return {e.id: Fraction(0) for e in out}
-    y = Fraction(y)
-    return {e.id: min(Fraction(e.weight), y * e.weight / total) for e in out}
 
 
 def payment_vector(strat: RankingStrategy, net: FinancialNetwork, y) -> dict[EdgeId, Money]:

@@ -7,6 +7,7 @@ every sampler takes the Random instance as an argument, never global state.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from finclear import (
     EdgeRankingStrategy,
@@ -14,12 +15,22 @@ from finclear import (
     StrategyProfile,
     ThresholdRankingStrategy,
 )
-from finclear.core import Money, NodeId
+from finclear.core import EdgeId, Money, NodeId, total_liabilities
 
 
 def with_external(net: FinancialNetwork, v: NodeId, amount: Money) -> FinancialNetwork:
     """A copy of the network with one firm's external assets replaced."""
     return FinancialNetwork.build(net.nodes, {**net.external_assets, v: amount}, net.edges)
+
+
+def pro_rata_payment(net: FinancialNetwork, v: NodeId, y) -> dict[EdgeId, Fraction]:
+    """Exact proportional payment of v holding y: min(cap, y * cap / total
+    liabilities) per out-edge; nothing if v owes nothing in all."""
+    total = total_liabilities(net, v)
+    return {
+        e.id: min(Fraction(e.weight), Fraction(y) * e.weight / total) if total else Fraction(0)
+        for e in net.out_edges(v)
+    }
 
 
 def random_net(

@@ -20,12 +20,11 @@ from finclear import (
     revenue,
     top_cycle_increase,
 )
-from finclear import cli
+from finclear import clearing, cli
 from finclear.clearing import BudgetExhaustedError, ProfileError, _top
-from finclear.core import total_liabilities
+from finclear.core import InconsistentStateError
 from finclear.io import load_network
-from finclear.strategies import ProRataStrategy, pro_rata_payment
-from _samplers import random_net, random_profile, with_external
+from _samplers import pro_rata_payment, random_net, random_profile, with_external
 
 
 def two_cycle(ext_u: int = 1) -> tuple[FinancialNetwork, StrategyProfile]:
@@ -109,6 +108,21 @@ def test_kleene_budget_counts_iterations():
     }
     with pytest.raises(BudgetExhaustedError, match="after 19 iterations: candidate cap of 19 "):
         kleene_clearing(leaky, leaky_profile, budget=SearchBudget(19))
+
+
+def test_kleene_guard_stops_a_non_monotone_payment(monkeypatch):
+    """Ranking strategies always reach a fixed point within sum(top) + 1
+    iterations. A firm that pays only when it holds nothing makes the
+    unfunded two-cycle flip between (0, 0) and (1, 1) forever; the guard
+    stops it after sum(top) + 1 = 3 iterations."""
+    net, profile = two_cycle(ext_u=0)
+
+    def contrary(strat, net, y):
+        return {e: 0 if y else 1 for e in strat.ranking}
+
+    monkeypatch.setattr(clearing, "payment_vector", contrary)
+    with pytest.raises(InconsistentStateError, match="after 3 iterations"):
+        kleene_clearing(net, profile)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -200,8 +214,7 @@ def _pro_rata_map(net: FinancialNetwork, assets) -> dict:
     """Externals plus the proportional payments at ``assets``."""
     flows = {}
     for v in net.nodes:
-        if total_liabilities(net, v) > 0:
-            flows.update(pro_rata_payment(ProRataStrategy(v), net, assets[v]))
+        flows.update(pro_rata_payment(net, v, assets[v]))
     new = {v: Fraction(net.external(v)) for v in net.nodes}
     for e in net.edges:
         new[e.dst] += flows.get(e.id, 0)

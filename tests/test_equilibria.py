@@ -17,15 +17,20 @@ from finclear import (
     SearchBudget,
     SearchSpace,
     StrategyProfile,
+    ThreeDmInstance,
+    ThreeDmVariant,
+    ThresholdRankingStrategy,
     Verdict,
     best_response_exact,
     enumerate_equilibria,
     gen_edge_spos_family,
+    gen_from_3dm,
     gen_no_nash,
     gen_poa_unbounded,
     gen_spoa_family,
     is_nash,
     is_strong_equilibrium,
+    kleene_clearing,
     min_max_cycle_d,
     optimal_strong_equilibrium,
     revenue,
@@ -38,7 +43,10 @@ from finclear.core import (
     check_conservation,
     decompose_circulation,
 )
+from finclear import clearing, equilibria
+from finclear.clearing import ProfileError
 from finclear.equilibria import max_value_circulation
+from finclear.strategies import StrategyError
 from _samplers import random_net, random_profile, with_external
 
 
@@ -356,3 +364,81 @@ def test_no_d_bound_never_undercuts_the_exact_d(seed):
     if not exact.exact:
         return
     assert welfare_metrics(net, compute_d=False).d_bound >= exact.value
+
+
+def _boundary_case(fault: str) -> tuple[FinancialNetwork, dict]:
+    """A 3-firm network and a profile whose strategy for ``a`` is at fault;
+    ``b`` and ``c`` play valid strategies."""
+    net = FinancialNetwork.build(
+        ["a", "b", "c"],
+        {"a": 1},
+        [(0, "a", "b", 2), (1, "a", "c", 1), (2, "b", "a", 1), (3, "c", "a", 1)],
+    )
+    strategies = {"b": EdgeRankingStrategy("b", (2,)), "c": EdgeRankingStrategy("c", (3,))}
+    strategies["a"] = {
+        "not a permutation": EdgeRankingStrategy("a", (0,)),
+        "threshold above weight": ThresholdRankingStrategy.of("a", (0, 1), {0: 3, 1: 0}),
+        "not a ranking": (0, 1),
+        "missing": None,
+    }[fault]
+    return net, strategies
+
+
+def _profile(strategies: dict) -> StrategyProfile:
+    """The profile of the strategies that are not None."""
+    return StrategyProfile({v: s for v, s in strategies.items() if s is not None})
+
+
+_ENTRY_POINTS = {
+    "top_cycle_increase": lambda net, p: top_cycle_increase(net, _profile(p)),
+    "kleene_clearing": lambda net, p: kleene_clearing(net, _profile(p)),
+    "best_response_exact": lambda net, p: best_response_exact(net, _profile(p), "b"),
+    "is_nash": lambda net, p: is_nash(net, _profile(p)),
+    "is_strong_equilibrium": lambda net, p: is_strong_equilibrium(net, _profile(p)),
+    "enumerate_equilibria": lambda net, p: enumerate_equilibria(net, fixed={"a": p["a"]}),
+    "social_optimum_edge_ranking": lambda net, p: social_optimum_edge_ranking(
+        net, fixed={"a": p["a"]}
+    ),
+    "welfare_metrics": lambda net, p: welfare_metrics(net, fixed={"a": p["a"]}),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "fault, error",
+    [
+        ("not a permutation", StrategyError),
+        ("threshold above weight", StrategyError),
+        ("not a ranking", ProfileError),
+        ("missing", ProfileError),
+    ],
+)
+def test_invalid_profiles_are_rejected_at_the_boundary(entry, fault, error):
+    """The clearing kernel checks no strategy, so every public entry point
+    must reject a bad one before it clears. A missing strategy is an absent
+    key in a profile and a None value in ``fixed``."""
+    net, strategies = _boundary_case(fault)
+    with pytest.raises(error):
+        _ENTRY_POINTS[entry](net, strategies)
+
+
+def test_enumeration_checks_each_given_strategy_once(monkeypatch):
+    """A solvable 3DM decision gadget: thousands of profiles are cleared, but
+    each fixed strategy is checked once, when the game is set up. Calls are
+    counted in every module that looks ``check_strategy`` up."""
+    calls = []
+    for module in (clearing, equilibria):
+        if hasattr(module, "check_strategy"):
+            original = module.check_strategy
+
+            def counted(strat, net, _original=original):
+                calls.append(strat.owner)
+                return _original(strat, net)
+
+            monkeypatch.setattr(module, "check_strategy", counted)
+    inst = ThreeDmInstance.of((1, 2, 3), [(1, 2, 3)])
+    net, fixed, _ = gen_from_3dm(inst, ThreeDmVariant.DECISION)
+    found = enumerate_equilibria(net, fixed=fixed, budget=SearchBudget(10**7))
+    assert found.exhaustive and found.findings
+    assert len(calls) <= len(fixed.strategies)
+    assert len(set(calls)) == len(calls)

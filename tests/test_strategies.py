@@ -22,10 +22,8 @@ from finclear.strategies import (
     behavior_signature,
     payment_segments,
     payment_vector,
-    pro_rata_payment,
-    ProRataStrategy,
 )
-from _samplers import random_net, random_profile, with_external
+from _samplers import pro_rata_payment, random_net, random_profile, with_external
 
 
 def fan_net() -> FinancialNetwork:
@@ -58,7 +56,6 @@ class TestCheckStrategy:
         check_strategy(
             ThresholdRankingStrategy.of("d", (1, 2, 0), {0: 3, 1: 0, 2: 2}), net
         )
-        check_strategy(ProRataStrategy("d"), net)
 
 
 class TestEdgeRanking:
@@ -101,9 +98,12 @@ class TestThresholdRanking:
 
 
 class TestProRata:
+    """The proportional payment that the pro-rata clearing tests use as
+    their oracle."""
+
     def test_exact_shares(self):
         net = fan_net()
-        paid = pro_rata_payment(ProRataStrategy("d"), net, 6)
+        paid = pro_rata_payment(net, "d", 6)
         # Shares 3/9, 2/9, 4/9 of 6.
         from fractions import Fraction
 
@@ -113,7 +113,7 @@ class TestProRata:
         net = FinancialNetwork.build(
             ["d", "x", "y"], {"d": 100}, [(0, "d", "x", 1), (1, "d", "y", 3)]
         )
-        paid = pro_rata_payment(ProRataStrategy("d"), net, 100)
+        paid = pro_rata_payment(net, "d", 100)
         assert paid[0] == 1 and paid[1] == 3
 
 
