@@ -16,12 +16,13 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
+from . import clearing
 from .clearing import (
     BudgetExhaustedError,
     KleeneStart,
+    _check_ranking_profile,
     clear_pro_rata,
     kleene_clearing,
-    top_cycle_increase,
 )
 from .core import (
     UNBOUNDED,
@@ -204,7 +205,13 @@ def _cmd_clear(args) -> int:
         override = _read_document(args.profile).profile
     profile = _full_profile(net, doc.profile, override)
     if args.oracle is None:
-        state = top_cycle_increase(net, profile, cycle_rng=_cycle_rng())
+        # The loader checked the document's strategies against net, but an
+        # override only against its own document. The clearing layers are
+        # looked up on their module, where per-layer tracing wraps them.
+        if override is not None:
+            _check_ranking_profile(net, profile)
+        circ = clearing.build_circulation_network(net)
+        state = clearing.clear_circulation(circ, profile, cycle_rng=_cycle_rng())
     else:
         start = KleeneStart.TOP if args.oracle == "kleene-top" else KleeneStart.BOTTOM
         try:

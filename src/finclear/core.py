@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping, Union
 
 NodeId = str
@@ -83,10 +84,11 @@ def node_key(node: NodeId) -> tuple[int, str]:
 
 
 def sorted_nodes(nodes: Iterable[NodeId]) -> list[NodeId]:
-    return sorted(nodes, key=node_key)
+    """Nodes in ``node_key`` order: sorted by text, then stably by length."""
+    return sorted(sorted(nodes), key=len)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiabilityEdge:
     """A directed debt: ``src`` owes ``dst`` up to ``weight`` units."""
 
@@ -104,8 +106,9 @@ class FinancialNetwork:
     """Immutable directed multigraph of firms with liabilities and external assets.
 
     Construction never validates; ``validate_network`` reports violations so
-    that malformed inputs can be diagnosed rather than rejected blindly.
-    Adjacency is precomputed once (edges sorted by id, nodes by ``node_key``).
+    that malformed inputs can be diagnosed rather than rejected blindly, and
+    keeps its report in ``_report``. Adjacency is precomputed once (edges
+    sorted by id, nodes by ``node_key``).
     """
 
     nodes: tuple[NodeId, ...]
@@ -114,6 +117,9 @@ class FinancialNetwork:
     _out: dict = field(init=False, repr=False, compare=False)
     _in: dict = field(init=False, repr=False, compare=False)
     _by_id: dict = field(init=False, repr=False, compare=False)
+    _report: ValidationReport | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def build(
@@ -132,13 +138,9 @@ class FinancialNetwork:
         for v, amount in ext.items():
             if v not in externals:
                 externals[v] = amount
-        edge_objs = tuple(
-            sorted(
-                (e if isinstance(e, LiabilityEdge) else LiabilityEdge(*e) for e in edges),
-                key=lambda e: e.id,
-            )
-        )
-        return FinancialNetwork(node_tuple, externals, edge_objs)
+        edge_objs = [e if isinstance(e, LiabilityEdge) else LiabilityEdge(*e) for e in edges]
+        edge_objs.sort(key=attrgetter("id"))
+        return FinancialNetwork(node_tuple, externals, tuple(edge_objs))
 
     def __post_init__(self) -> None:
         out: dict[NodeId, list[LiabilityEdge]] = {v: [] for v in self.nodes}
@@ -211,12 +213,15 @@ class _Meter:
 
     def charge(self, amount: int = 1) -> None:
         self.used += amount
-        if self.used > self.limit or time.monotonic() > self.deadline:
-            raise _Exhausted(
-                f"candidate cap of {self.limit} reached"
-                if self.used > self.limit
-                else f"timeout of {self.timeout} s reached"
-            )
+        if self.used > self.limit:
+            raise _Exhausted(f"candidate cap of {self.limit} reached")
+        self.check_deadline()
+
+    def check_deadline(self) -> None:
+        """Raise once the time is up, charging no candidate: for walks that
+        revisit what was already charged."""
+        if time.monotonic() > self.deadline:
+            raise _Exhausted(f"timeout of {self.timeout} s reached")
 
 
 @dataclass(frozen=True)
@@ -241,7 +246,15 @@ class ValidationReport:
 
 
 def validate_network(net: FinancialNetwork) -> ValidationReport:
-    """Report every violated invariant; an empty report means the network is valid."""
+    """Report every violated invariant; an empty report means the network is valid.
+
+    The network is immutable, so the report is computed once and kept on it."""
+    if net._report is None:
+        object.__setattr__(net, "_report", _violations(net))
+    return net._report
+
+
+def _violations(net: FinancialNetwork) -> ValidationReport:
     found: list[Violation] = []
     declared = set(net.nodes)
     for v in sorted_nodes(net.external_assets):
@@ -319,7 +332,7 @@ def build_circulation_network(net: FinancialNetwork) -> CirculationNetwork:
     firm with positive external assets. Auxiliary edge ids continue after the
     largest base edge id, (v, s) block first, both blocks in node order.
     """
-    report = validate_network(net)
+    report = net._report if net._report is not None else validate_network(net)
     if not report.ok:
         raise InconsistentStateError(f"invalid network: {report.violations[0]}")
     source = fresh_source_id(net.nodes)
@@ -375,12 +388,15 @@ class ClearingState:
 
 def check_clearing_consistency(net: FinancialNetwork, cs: ClearingState) -> None:
     """Raise unless the state satisfies the asset identities and edge capacities."""
+    flow = cs.flows.flow
+    inflows = dict.fromkeys(net.nodes, 0)
     for e in net.edges:
-        f = cs.flows.get(e.id)
+        f = flow.get(e.id, 0)
         if f < 0 or (not e.is_unbounded() and f > e.weight):
             raise InconsistentStateError(f"flow {f} outside [0, {e.weight}] on edge {e.id}")
-    for v in net.nodes:
-        inflow = sum(cs.flows.get(e.id) for e in net.in_edges(v))
+        if e.dst in inflows:
+            inflows[e.dst] += f
+    for v, inflow in inflows.items():
         if cs.internal_assets.get(v, 0) != inflow:
             raise InconsistentStateError(
                 f"internal assets of {v!r} are {cs.internal_assets.get(v, 0)}, inflow is {inflow}"

@@ -702,6 +702,7 @@ def _is_strong(game: _Game, code: int) -> EquilibriumReport:
                 [i * stride[v] for i in range(game.space_size[v])] for v in coalition
             ]
             for combo in itertools.product(*digits):
+                game.meter.check_deadline()  # most of these profiles are table hits
                 after = game.clear(start + sum(combo))
                 if all(after[at[v]] > base[at[v]] for v in coalition):
                     witness = DeviationWitness(

@@ -92,7 +92,33 @@ def _parse_weight(value: Any, path: str) -> Weight:
 
 
 def _parse_strategy(entry: Any, idx: int) -> RankingStrategy:
-    path = f"strategies[{idx}]"
+    """The entry's strategy; one that fails the inline test goes through
+    ``_checked_strategy``, which names its first bad field."""
+    if (
+        type(entry) is dict
+        and type(owner := entry.get("owner")) is str
+        and type(ranking := entry.get("ranking")) is list
+        and all(type(e) is int for e in ranking)
+    ):
+        kind = entry.get("kind")
+        if kind == "edge-ranking" and len(entry) == 3:
+            return EdgeRankingStrategy(owner, tuple(ranking))
+        if (
+            kind == "threshold"
+            and len(entry) == 4
+            and type(raw := entry.get("thresholds")) is dict
+            and all(type(tau) is int for tau in raw.values())
+        ):
+            try:
+                thresholds = {int(key): tau for key, tau in raw.items()}
+            except ValueError:
+                pass
+            else:
+                return ThresholdRankingStrategy.of(owner, ranking, thresholds)
+    return _checked_strategy(entry, f"strategies[{idx}]")
+
+
+def _checked_strategy(entry: Any, path: str) -> RankingStrategy:
     obj = _require_mapping(entry, path)
     kind = _require_str(obj.get("kind"), f"{path}.kind")
     owner = _require_str(obj.get("owner"), f"{path}.owner")
@@ -117,8 +143,36 @@ def _parse_strategy(entry: Any, idx: int) -> RankingStrategy:
     raise ParseError(f"{path}.kind: expected 'edge-ranking' or 'threshold', got '{kind}'")
 
 
+def _checked_node(entry: Any, path: str) -> tuple[str, int]:
+    obj = _require_mapping(entry, path)
+    _reject_unknown(obj, {"id", "external"}, path)
+    return (
+        _require_str(obj.get("id"), f"{path}.id"),
+        _require_int(obj.get("external"), f"{path}.external"),
+    )
+
+
+def _checked_edge(entry: Any, path: str) -> tuple[int, str, str, Weight]:
+    obj = _require_mapping(entry, path)
+    _reject_unknown(obj, {"id", "src", "dst", "weight"}, path)
+    return (
+        _require_int(obj.get("id"), f"{path}.id"),
+        _require_str(obj.get("src"), f"{path}.src"),
+        _require_str(obj.get("dst"), f"{path}.dst"),
+        _parse_weight(obj.get("weight"), f"{path}.weight"),
+    )
+
+
 def parse_document(text: str) -> NetworkDocument:
-    """Parse a network document; strategies are checked against the network."""
+    """Parse a network document; strategies are checked against the network.
+
+    Each node, edge and strategy entry gets one inline test: exact JSON
+    types and a key set within the allowed fields (every allowed field is
+    present, so the entry's size leaves room for no other). The test accepts
+    exactly what the ``_checked_*`` sequences accept, so only an entry that
+    fails it pays for them, and they raise the message naming its first bad
+    field.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -128,32 +182,36 @@ def parse_document(text: str) -> NetworkDocument:
 
     nodes = []
     externals = {}
-    for i, entry in _consumed(_require_list(top.get("nodes"), "nodes")):
-        path = f"nodes[{i}]"
-        obj = _require_mapping(entry, path)
-        _reject_unknown(obj, {"id", "external"}, path)
-        node = _require_str(obj.get("id"), f"{path}.id")
-        external = _require_int(obj.get("external"), f"{path}.external")
+    for i, obj in _consumed(_require_list(top.get("nodes"), "nodes")):
+        if not (
+            type(obj) is dict
+            and len(obj) == 2
+            and type(node := obj.get("id")) is str
+            and type(external := obj.get("external")) is int
+        ):
+            node, external = _checked_node(obj, f"nodes[{i}]")
         if node in externals:
-            raise ParseError(f"{path}.id: duplicate node '{node}'")
+            raise ParseError(f"nodes[{i}].id: duplicate node '{node}'")
         nodes.append(node)
         externals[node] = external
 
     edges = []
-    for i, entry in _consumed(_require_list(top.get("edges", []), "edges")):
-        path = f"edges[{i}]"
-        obj = _require_mapping(entry, path)
-        _reject_unknown(obj, {"id", "src", "dst", "weight"}, path)
-        edges.append(
-            LiabilityEdge(
-                _require_int(obj.get("id"), f"{path}.id"),
-                _require_str(obj.get("src"), f"{path}.src"),
-                _require_str(obj.get("dst"), f"{path}.dst"),
-                _parse_weight(obj.get("weight"), f"{path}.weight"),
-            )
-        )
+    finite = 0
+    for i, obj in _consumed(_require_list(top.get("edges", []), "edges")):
+        if not (
+            type(obj) is dict
+            and len(obj) == 4
+            and type(edge_id := obj.get("id")) is int
+            and type(src := obj.get("src")) is str
+            and type(dst := obj.get("dst")) is str
+            and type(weight := obj.get("weight")) is int
+            and weight >= 0
+        ):
+            edge_id, src, dst, weight = _checked_edge(obj, f"edges[{i}]")
+        if weight is not UNBOUNDED:
+            finite += weight
+        edges.append(LiabilityEdge(edge_id, src, dst, weight))
 
-    finite = sum(e.weight for e in edges if not e.is_unbounded())
     if finite + sum(max(x, 0) for x in externals.values()) > TOTAL_WEIGHT_CAP:
         raise ParseError(
             f"document: total weight plus external assets exceeds 2^62 ({TOTAL_WEIGHT_CAP})"

@@ -23,6 +23,7 @@ from finclear.core import (
     check_clearing_consistency,
     decompose_circulation,
     node_key,
+    sorted_nodes,
     total_liabilities,
 )
 from _samplers import with_external
@@ -134,6 +135,7 @@ def test_unbounded_is_a_singleton_under_copy():
 def test_node_key_orders_by_length_then_text(names):
     ordered = sorted(names, key=node_key)
     assert ordered == sorted(names, key=lambda s: (len(s), s))
+    assert sorted_nodes(names) == ordered
 
 
 def test_total_liabilities_sums_out_weights():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import networkx as nx
@@ -160,6 +161,18 @@ class TestStrong:
         after = top_cycle_increase(net, deviated)
         for member in witness.coalition:
             assert after.assets[member] == witness.after[member]
+
+    def test_coalition_walk_over_cleared_profiles_stops_at_the_deadline(self):
+        """A second walk finds every profile in the table, so it charges no
+        candidate; it must still stop once the deadline has passed."""
+        net, profile = _poa_dead_end()
+        game = equilibria._Game(net, SearchBudget(), SearchSpace.EDGE, profile)
+        assert equilibria._is_strong(game, 0).verdict is Verdict.NOT_STRONG
+        cleared = len(game.table)
+        game.meter.deadline = time.monotonic() - 1
+        with pytest.raises(equilibria._Exhausted, match="timeout"):
+            equilibria._is_strong(game, 0)
+        assert len(game.table) == cleared
 
 
 class TestEnumerate:

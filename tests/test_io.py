@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from finclear import cli, clearing, core, io as finclear_io
 from finclear.cli import _fmt
 
 from finclear import (
@@ -26,6 +27,7 @@ from finclear import (
     save_document,
     validate_network,
 )
+from _samplers import random_net, random_profile
 
 
 def sample_document() -> str:
@@ -135,6 +137,208 @@ class TestParse:
         )
         with pytest.raises(ParseError, match="permutation"):
             parse_document(text)
+
+
+def _node(**fields):
+    return {"id": "a", "external": 1, **fields}
+
+
+def _edge(**fields):
+    return {"id": 0, "src": "a", "dst": "b", "weight": 3, **fields}
+
+
+def _document(nodes=None, edges=None, strategies=None, **extra) -> str:
+    """A two-firm document (a owes b 3 on edge 0) with parts replaced."""
+    doc = {
+        "nodes": [_node(), {"id": "b", "external": 0}] if nodes is None else nodes,
+        "edges": [_edge()] if edges is None else edges,
+        "strategies": [] if strategies is None else strategies,
+        **extra,
+    }
+    return json.dumps(doc)
+
+
+def _ranking(**fields):
+    return {"owner": "a", "kind": "edge-ranking", "ranking": [0], **fields}
+
+
+def _threshold(**fields):
+    return {"owner": "a", "kind": "threshold", "ranking": [0], "thresholds": {"0": 1}, **fields}
+
+
+def _without(entry: dict, *names: str) -> dict:
+    return {k: v for k, v in entry.items() if k not in names}
+
+
+B = {"id": "b", "external": 0}
+CAP = "document: total weight plus external assets exceeds 2^62 (4611686018427387904)"
+
+# Every ParseError site of parse_document, with the full message. Where an
+# entry has two faults, the one the loader checks first is reported: for a
+# node or an edge, unknown fields, then the fields in order; for a strategy,
+# kind, owner and ranking, then unknown fields, then thresholds.
+PARSE_ERRORS = [
+    ("json", '{"nodes"', "line 1, column 9: Expecting ':' delimiter"),
+    ("document not an object", "[]", "document: expected an object, got list"),
+    ("document unknown field", _document(extra=1), "document: unknown field 'extra'"),
+    ("document unknown fields, first sorted", _document(zz=1, aa=2),
+     "document: unknown field 'aa'"),
+    ("nodes missing", json.dumps({"edges": []}), "nodes: expected an array, got NoneType"),
+    ("nodes not an array", _document(nodes={}), "nodes: expected an array, got dict"),
+    ("node not an object", _document(nodes=[B, 3]), "nodes[1]: expected an object, got int"),
+    ("node unknown field", _document(nodes=[_node(ext=1), B]), "nodes[0]: unknown field 'ext'"),
+    ("node id missing", _document(nodes=[_without(_node(), "id"), B]),
+     "nodes[0].id: expected a string, got NoneType"),
+    ("node id not a string", _document(nodes=[_node(id=7), B]),
+     "nodes[0].id: expected a string, got int"),
+    ("node external missing", _document(nodes=[_without(_node(), "external"), B]),
+     "nodes[0].external: expected an integer, got NoneType"),
+    ("node external bool", _document(nodes=[_node(external=True), B]),
+     "nodes[0].external: expected an integer, got bool"),
+    ("node external float", _document(nodes=[_node(external=1.0), B]),
+     "nodes[0].external: expected an integer, got float"),
+    ("node external string", _document(nodes=[_node(external="1"), B]),
+     "nodes[0].external: expected an integer, got str"),
+    ("node duplicate", _document(nodes=[_node(), B, _node(external=2)]),
+     "nodes[2].id: duplicate node 'a'"),
+    ("node unknown field before bad id", _document(nodes=[_node(id=7, ext=1), B]),
+     "nodes[0]: unknown field 'ext'"),
+    ("node unknown fields, first sorted", _document(nodes=[_node(zz=1, aa=1), B]),
+     "nodes[0]: unknown field 'aa'"),
+    ("node bad id before bad external", _document(nodes=[_node(id=None, external="x"), B]),
+     "nodes[0].id: expected a string, got NoneType"),
+    ("node bad external before duplicate", _document(nodes=[_node(), B, _node(external=None)]),
+     "nodes[2].external: expected an integer, got NoneType"),
+    ("node fault before edge fault", _document(nodes=[_node(external=None), B], edges=[5]),
+     "nodes[0].external: expected an integer, got NoneType"),
+    ("edges not an array", _document(edges={}), "edges: expected an array, got dict"),
+    ("edge not an object", _document(edges=[_edge(), []]),
+     "edges[1]: expected an object, got list"),
+    ("edge unknown field", _document(edges=[_edge(cost=1)]), "edges[0]: unknown field 'cost'"),
+    ("edge id missing", _document(edges=[_without(_edge(), "id")]),
+     "edges[0].id: expected an integer, got NoneType"),
+    ("edge id string", _document(edges=[_edge(id="0")]),
+     "edges[0].id: expected an integer, got str"),
+    ("edge id bool", _document(edges=[_edge(id=False)]),
+     "edges[0].id: expected an integer, got bool"),
+    ("edge src not a string", _document(edges=[_edge(src=1)]),
+     "edges[0].src: expected a string, got int"),
+    ("edge dst missing", _document(edges=[_without(_edge(), "dst")]),
+     "edges[0].dst: expected a string, got NoneType"),
+    ("edge weight string", _document(edges=[_edge(weight="3")]),
+     "edges[0].weight: expected an integer, got str"),
+    ("edge weight float", _document(edges=[_edge(weight=3.0)]),
+     "edges[0].weight: expected an integer, got float"),
+    ("edge weight bool", _document(edges=[_edge(weight=True)]),
+     "edges[0].weight: expected an integer, got bool"),
+    ("edge weight missing", _document(edges=[_without(_edge(), "weight")]),
+     "edges[0].weight: expected an integer, got NoneType"),
+    ("edge weight negative", _document(edges=[_edge(weight=-1)]),
+     "edges[0].weight: weight must be non-negative"),
+    ("edge unknown field before bad id", _document(edges=[_edge(id="x", cost=1)]),
+     "edges[0]: unknown field 'cost'"),
+    ("edge unknown field in place of weight", _document(edges=[_without(_edge(cost=1), "weight")]),
+     "edges[0]: unknown field 'cost'"),
+    ("edge bad id before bad weight", _document(edges=[_edge(id=None, weight=-1)]),
+     "edges[0].id: expected an integer, got NoneType"),
+    ("edge bad src before bad dst", _document(edges=[_edge(src=None, dst=None)]),
+     "edges[0].src: expected a string, got NoneType"),
+    ("edge bad dst before bad weight", _document(edges=[_edge(dst=2, weight="heavy")]),
+     "edges[0].dst: expected a string, got int"),
+    ("edge fault before the cap", _document(edges=[_edge(weight=2**62), _edge(id=1, weight="x")]),
+     "edges[1].weight: expected an integer, got str"),
+    ("cap on weights",
+     _document(nodes=[_node(external=0), B],
+               edges=[_edge(weight=2**61), _edge(id=1, weight=2**61 + 1)]),
+     CAP),
+    ("cap on weights and externals", _document(edges=[_edge(weight=2**62)]), CAP),
+    ("cap before strategy faults", _document(edges=[_edge(weight=2**62)], strategies=[5]), CAP),
+    ("strategies not an array", _document(strategies={}),
+     "strategies: expected an array, got dict"),
+    ("strategy not an object", _document(strategies=["a"]),
+     "strategies[0]: expected an object, got str"),
+    ("strategy kind missing", _document(strategies=[_without(_ranking(), "kind")]),
+     "strategies[0].kind: expected a string, got NoneType"),
+    ("strategy owner not a string", _document(strategies=[_ranking(owner=["a"])]),
+     "strategies[0].owner: expected a string, got list"),
+    ("strategy ranking not an array", _document(strategies=[_ranking(ranking=0)]),
+     "strategies[0].ranking: expected an array, got int"),
+    ("strategy ranking entry bool", _document(strategies=[_ranking(ranking=[0, True])]),
+     "strategies[0].ranking[1]: expected an integer, got bool"),
+    ("edge-ranking unknown field", _document(strategies=[_ranking(thresholds={})]),
+     "strategies[0]: unknown field 'thresholds'"),
+    ("threshold unknown field", _document(strategies=[_threshold(extra=1)]),
+     "strategies[0]: unknown field 'extra'"),
+    ("threshold map not an object", _document(strategies=[_threshold(thresholds=[1])]),
+     "strategies[0].thresholds: expected an object, got list"),
+    ("threshold map missing", _document(strategies=[_without(_threshold(), "thresholds")]),
+     "strategies[0].thresholds: expected an object, got NoneType"),
+    ("threshold key not an edge id", _document(strategies=[_threshold(thresholds={"e0": 1})]),
+     "strategies[0].thresholds: key 'e0' is not an edge id"),
+    ("threshold value not an integer", _document(strategies=[_threshold(thresholds={"0": "1"})]),
+     "strategies[0].thresholds.0: expected an integer, got str"),
+    ("unknown kind", _document(strategies=[_ranking(kind="pro-rata")]),
+     "strategies[0].kind: expected 'edge-ranking' or 'threshold', got 'pro-rata'"),
+    ("bad kind before bad owner", _document(strategies=[_ranking(kind=1, owner=1)]),
+     "strategies[0].kind: expected a string, got int"),
+    ("bad owner before bad ranking", _document(strategies=[_ranking(owner=None, ranking=None)]),
+     "strategies[0].owner: expected a string, got NoneType"),
+    ("bad ranking entry before unknown field",
+     _document(strategies=[_ranking(ranking=["0"], extra=1)]),
+     "strategies[0].ranking[0]: expected an integer, got str"),
+    ("bad ranking before unknown kind",
+     _document(strategies=[_ranking(kind="pro-rata", ranking={})]),
+     "strategies[0].ranking: expected an array, got dict"),
+    ("unknown kind before unknown field",
+     _document(strategies=[_ranking(kind="pro-rata", extra=1)]),
+     "strategies[0].kind: expected 'edge-ranking' or 'threshold', got 'pro-rata'"),
+    ("strategy unknown field in place of kind",
+     _document(strategies=[_without(_ranking(extra=1), "kind")]),
+     "strategies[0].kind: expected a string, got NoneType"),
+    ("threshold unknown field in place of map",
+     _document(strategies=[_without(_threshold(extra=1), "thresholds")]),
+     "strategies[0]: unknown field 'extra'"),
+    ("threshold unknown field before bad map",
+     _document(strategies=[_threshold(thresholds=None, extra=1)]),
+     "strategies[0]: unknown field 'extra'"),
+    ("threshold bad key before bad value",
+     _document(strategies=[_threshold(thresholds={"x": 1, "0": None})]),
+     "strategies[0].thresholds: key 'x' is not an edge id"),
+    ("threshold bad value before bad key",
+     _document(strategies=[_threshold(thresholds={"0": None, "x": 1})]),
+     "strategies[0].thresholds.0: expected an integer, got NoneType"),
+    ("strategy parse fault before duplicate owner",
+     _document(strategies=[_ranking(), _ranking(), 3]),
+     "strategies[2]: expected an object, got int"),
+    ("duplicate owner", _document(strategies=[_ranking(), _threshold()]),
+     "strategies: duplicate owner"),
+    ("duplicate owner before check",
+     _document(strategies=[_ranking(ranking=[1]), _ranking(ranking=[2])]),
+     "strategies: duplicate owner"),
+    ("check: not a permutation", _document(strategies=[_ranking(ranking=[0, 0])]),
+     "strategies[a]: ranking of 'a' is not a permutation of its outgoing edges"),
+    ("check: thresholds do not cover",
+     _document(strategies=[_threshold(thresholds={"0": 1, "1": 0})]),
+     "strategies[a]: thresholds of 'a' must cover exactly its outgoing edges"),
+    ("check: threshold above weight", _document(strategies=[_threshold(thresholds={"0": 4})]),
+     "strategies[a]: threshold 4 on edge 0 outside [0, 3]"),
+    ("check: unknown owner", _document(strategies=[_ranking(owner="z", ranking=[])]),
+     "strategies[z]: unknown node 'z'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", [case[1:] for case in PARSE_ERRORS], ids=[case[0] for case in PARSE_ERRORS]
+)
+def test_parse_error_names_the_first_fault(text, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_document(text)
+    assert str(excinfo.value) == message
+
+
+def test_total_weight_at_the_cap_loads():
+    doc = parse_document(_document(edges=[_edge(weight=2**61), _edge(id=1, weight=2**61 - 1)]))
+    assert sum(e.weight for e in doc.network.edges) + doc.network.external("a") == 2**62
 
 
 class TestFixtures:
@@ -337,6 +541,68 @@ class TestCli:
             result = run_cli("gen", *argv.split())
             assert result.returncode == 64, argv
             assert "Traceback" not in result.stderr, argv
+
+
+def _count_calls(monkeypatch, name: str, modules) -> list:
+    """Wrap ``name`` in each module that looks it up; returns the call log."""
+    calls = []
+    for module in modules:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_clear_validates_once_and_checks_each_strategy_once(tmp_path, monkeypatch, capsys):
+    """The loader checks each strategy; clearing trusts it and reuses the
+    network's validation report."""
+    rng = random.Random(11)
+    net = random_net(rng, max_nodes=8, max_edges=16)
+    profile = random_profile(rng, net)
+    path = tmp_path / "net.json"
+    path.write_text(render_document(net, profile), encoding="utf-8")
+    validations = _count_calls(monkeypatch, "validate_network", (cli, core))
+    checks = _count_calls(monkeypatch, "check_strategy", (finclear_io, clearing))
+    assert cli.main(["clear", str(path)]) == 0
+    assert "revenue = " in capsys.readouterr().out
+    assert len(validations) == 1
+    assert sorted(strat.owner for strat, _ in checks) == sorted(profile.strategies)
+
+
+C = {"id": "c", "external": 0}
+AC = _edge(id=1, dst="c", weight=2)
+
+
+@pytest.mark.parametrize(
+    "edges, strategy, code, stdout, stderr",
+    [
+        ([_edge(), AC], _ranking(ranking=[0, 1]), 0,
+         "a_a = 1\na_b = 1\na_c = 0\nrevenue = 2\n", ""),
+        ([_edge()], _ranking(), 2, "",
+         "ranking of 'a' is not a permutation of its outgoing edges\n"),
+        ([_edge(weight=5), AC], _threshold(ranking=[0, 1], thresholds={"0": 5, "1": 0}), 2, "",
+         "threshold 5 on edge 0 outside [0, 3]\n"),
+        ([_edge(), AC], _ranking(owner="b", ranking=[]), 2, "", "no strategy for firm(s): a\n"),
+    ],
+    ids=["valid", "ranking misses an edge", "threshold above the weight", "no strategy"],
+)
+def test_clear_checks_a_profile_override_against_the_network(
+    tmp_path, edges, strategy, code, stdout, stderr
+):
+    """The document's a ranks edge 1 (to c) first; the override document is
+    the same network but for ``edges``, and its loader accepts ``strategy``."""
+    net = tmp_path / "net.json"
+    net.write_text(_document(nodes=[_node(), B, C], edges=[_edge(), AC],
+                             strategies=[_ranking(ranking=[1, 0])]), encoding="utf-8")
+    other = tmp_path / "other.json"
+    other.write_text(_document(nodes=[_node(), B, C], edges=edges, strategies=[strategy]),
+                     encoding="utf-8")
+    result = run_cli("clear", "--profile", str(other), str(net))
+    assert (result.returncode, result.stdout, result.stderr) == (code, stdout, stderr)
 
 
 def _reference_digits(n: int) -> str:
