@@ -1,8 +1,9 @@
 """Clearing-state computation.
 
 Three engines. ``top_cycle_increase`` is the workhorse: strongly polynomial,
-exact, for edge/threshold-ranking profiles; it works on the circulation
-network and repeatedly pushes flow around cycles of per-firm "active" edges.
+exact, for edge/threshold-ranking profiles; ``clear_circulation`` reads the
+compiled ``CirculationNetwork`` and repeatedly pushes flow around cycles of
+per-firm "active" edges.
 ``kleene_clearing`` is the lattice-theoretic oracle: Jacobi iteration of the
 asset operator from the top (greatest fixed point) or bottom (least), slow but
 independent, used to cross-check, under an optional budget.
@@ -34,8 +35,8 @@ from .core import (
     SearchBudget,
     _Exhausted,
     _Meter,
+    asset_ceiling,
     build_circulation_network,
-    node_key,
     total_liabilities,
 )
 from .strategies import (
@@ -97,28 +98,6 @@ def top_cycle_increase(
     return clear_circulation(circ, profile, cycle_rng=cycle_rng)
 
 
-class _Kernel:
-    """A circulation network as int arrays, nodes in ``node_key`` order.
-    Flow slot k < m is the k-th base edge; node i has the surplus slot
-    m + 2i and the source slot m + 2i + 1, which carries ``external[i]``.
-    ``capacity`` exceeds all finite capacity, so no push fills that room.
-    Nothing refers back to the circulation, so caching makes no cycle."""
-
-    __slots__ = ("index", "slot", "dst", "source", "external", "capacity")
-
-    def __init__(self, circ: CirculationNetwork) -> None:
-        self.index = {v: i for i, v in enumerate(sorted(circ.nodes, key=node_key))}
-        self.slot = {e.id: k for k, e in enumerate(circ.base.edges)}
-        self.source = self.index[circ.source]
-        self.dst = [self.index[e.dst] for e in circ.base.edges]
-        for i in range(len(self.index)):
-            self.dst += (self.source, i)
-        self.external = [0] * len(self.index)
-        for e in circ.source_out:
-            self.external[self.index[e.dst]] = e.weight
-        self.capacity = 1 + sum(self.external) + sum(e.weight for e in circ.base.edges)
-
-
 def clear_circulation(
     circ: CirculationNetwork,
     profile: StrategyProfile,
@@ -150,16 +129,12 @@ def clear_circulation(
     the first cycle node whose segment saturated: it resumes there, and the
     scan over start nodes resumes where it stopped.
     """
-    kernel = circ._kernel
-    if kernel is None:
-        kernel = _Kernel(circ)
-        object.__setattr__(circ, "_kernel", kernel)
-    net, slot, dst, external = circ.base, kernel.slot, kernel.dst, kernel.external
+    net, slot, dst, external = circ.base, circ.slot, circ.dst, circ.external
     extra = len(surgery[1]) if surgery is not None else 0
-    m, room = len(slot), kernel.capacity + extra
+    m, room = len(slot), circ.capacity + extra
     schedules: list[list[tuple[int, Money]]] = [[] for _ in external]
     for v in net.nodes:
-        i = kernel.index[v]
+        i = circ.index[v]
         if surgery is not None and v == surgery[0]:
             strat = EdgeRankingStrategy(v, surgery[1])
             external = external.copy()
@@ -173,7 +148,9 @@ def clear_circulation(
         if strat is not None:
             schedules[i] = [(slot[e], length) for e, length in payment_segments(strat, net)]
         schedules[i].append((m + 2 * i, room))
-    schedules[kernel.source] = [(m + 2 * i + 1, x) for i, x in enumerate(external) if x > 0]
+    schedules[circ.index[circ.source]] = [
+        (m + 2 * i + 1, x) for i, x in enumerate(external) if x > 0
+    ]
 
     n = len(schedules)
     flows = [0] * len(dst)
@@ -240,14 +217,6 @@ def _clearing_state(
     return ClearingState(assets, internal, FlowAssignment(flows))
 
 
-def _top(net: FinancialNetwork) -> dict[NodeId, Money]:
-    """Externals plus incoming capacity: an upper bound on every firm's assets."""
-    return {
-        v: net.external(v) + sum(e.weight for e in net.in_edges(v) if not e.is_unbounded())
-        for v in net.nodes
-    }
-
-
 def kleene_clearing(
     net: FinancialNetwork,
     profile: StrategyProfile,
@@ -264,12 +233,12 @@ def kleene_clearing(
     the budget runs out, ``BudgetExhaustedError`` names the cap that did.
 
     Ranking strategies are monotone, so the iterates are monotone, integral
-    and between 0 and ``_top``: each one before the fixed point changes the
-    asset sum, so there are at most sum(top) + 1 iterations. One more raises
-    ``InconsistentStateError``.
+    and between 0 and ``asset_ceiling``: each one before the fixed point
+    changes the asset sum, so there are at most sum(top) + 1 iterations. One
+    more raises ``InconsistentStateError``.
     """
     _check_ranking_profile(net, profile)
-    top = _top(net)
+    top = {v: asset_ceiling(net, v) for v in net.nodes}
     assets = top if start is KleeneStart.TOP else {v: 0 for v in net.nodes}
     cap = sum(top.values()) + 1
     payers = [profile.strategy_for(v) for v in net.nodes if net.out_edges(v)]

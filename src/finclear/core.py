@@ -1,7 +1,11 @@
-"""Financial networks, circulation networks, flow accounting, and cycle decomposition.
+"""Financial networks, the compiled circulation, flow accounting, and cycle decomposition.
 
 A network is a directed multigraph of firms. Each edge carries a non-negative
 integer liability weight; each firm holds non-negative integer external assets.
+``build_circulation_network`` closes a valid network into a circulation with a
+source and compiles it once into the int arrays of ``CirculationNetwork``,
+which the clearing kernel, the maximum-value circulation, the cycle bound,
+``check_conservation`` and ``decompose_circulation`` all read.
 All arithmetic in this package is exact (ints, or ``fractions.Fraction`` for
 pro-rata clearing); nothing is ever represented in floating point.
 """
@@ -10,7 +14,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Mapping, Union
 
@@ -45,10 +48,10 @@ class ConservationError(FinclearError):
 
 
 class UnboundedType:
-    """Singleton sentinel for unlimited capacity.
+    """Singleton sentinel for an unlimited quantity, never a large number.
 
-    Used only on auxiliary (firm, source) edges of a circulation network; never
-    a large number, so it can never be accidentally saturated.
+    It marks a parsed ``"unbounded"`` edge weight, which validation rejects,
+    and an unbounded welfare ratio.
     """
 
     _instance: "UnboundedType | None" = None
@@ -189,6 +192,11 @@ def total_liabilities(net: FinancialNetwork, v: NodeId) -> Money:
     return total
 
 
+def asset_ceiling(net: FinancialNetwork, v: NodeId) -> Money:
+    """External assets plus incoming finite capacity: a bound on v's assets."""
+    return net.external(v) + sum(e.weight for e in net.in_edges(v) if not e.is_unbounded())
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """Caps on evaluated candidates and wall-clock time for a single search."""
@@ -281,39 +289,60 @@ def _violations(net: FinancialNetwork) -> ValidationReport:
     return ValidationReport(tuple(found))
 
 
-@dataclass(frozen=True)
-class CirculationNetwork(FinancialNetwork):
-    """A financial network augmented with a source node converting externals to flow.
+class CirculationNetwork:
+    """A valid network closed into a circulation by a source, compiled once.
 
-    The source pays each firm its external assets over a capacity-a^x edge and
-    absorbs every firm's surplus over an unbounded (firm, source) edge, so any
-    clearing state extends to an exact circulation. ``nodes`` and ``edges``
-    are the augmented tuples (base first, then the source and its edges); the
-    externals live on the source's edges, so ``external_assets`` is empty.
-    Adjacency waits for first use; clearing reads only the cached ``_kernel``.
+    The source pays each firm its external assets and takes each firm's
+    surplus, so any clearing state extends to an exact circulation. Every
+    engine reads these arrays. ``nodes``, the source among them, are in
+    ``node_key`` order and ``index`` numbers them. Flow slot k < m is the
+    base edge ``base.edges[k]`` (``slot`` maps its id to k); node i has the
+    surplus slot m + 2i, to the source, and the source slot m + 2i + 1,
+    from it, which carries ``external[i]``. ``src`` and ``dst`` hold each
+    slot's node indices and ``ids`` its public edge id: the base ids, then
+    one (v, source) id per firm and one (source, v) id per firm with
+    external assets, each block in node order, numbered on from the largest
+    base id. The source's own slots and unfunded source slots have None.
+    ``capacity`` exceeds all finite capacity, so no push fills that room.
     """
 
-    base: FinancialNetwork
-    source: NodeId
-    source_in: tuple[LiabilityEdge, ...]  # (v, s), unbounded, one per firm
-    source_out: tuple[LiabilityEdge, ...]  # (s, v), weight a^x_v, firms with a^x_v > 0
-    _kernel: object = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = (
+        "base", "source", "nodes", "index", "slot", "src", "dst", "ids", "external", "capacity"
+    )
 
-    def __post_init__(self) -> None:
-        """Nothing to build: ``__getattr__`` builds the adjacency on first use."""
+    def __init__(self, net: FinancialNetwork) -> None:
+        self.base = net
+        self.source = source = fresh_source_id(net.nodes)
+        self.nodes = tuple(sorted_nodes((*net.nodes, source)))
+        self.index = index = {v: i for i, v in enumerate(self.nodes)}
+        self.slot = {e.id: k for k, e in enumerate(net.edges)}
+        self.src = [index[e.src] for e in net.edges]
+        self.dst = [index[e.dst] for e in net.edges]
+        self.ids = [e.id for e in net.edges]
+        self.external = [net.external(v) for v in self.nodes]
+        self.capacity = 1 + sum(self.external) + sum(e.weight for e in net.edges)
+        s = index[source]
+        surplus_id = max((e.id for e in net.edges), default=-1) + 1
+        source_id = surplus_id + len(net.nodes)
+        for i, x in enumerate(self.external):
+            self.src += (i, s)
+            self.dst += (s, i)
+            if i == s:
+                self.ids += (None, None)
+                continue
+            self.ids += (surplus_id, source_id if x > 0 else None)
+            surplus_id += 1
+            source_id += x > 0
 
-    def __getattr__(self, name: str):
-        if name not in ("_out", "_in", "_by_id"):
-            raise AttributeError(name)
-        FinancialNetwork.__post_init__(self)
-        return object.__getattribute__(self, name)
-
-    def surplus_edge(self, v: NodeId) -> LiabilityEdge:
-        """The unbounded (v, source) edge carrying v's surplus."""
-        for e in self._out[v]:
-            if e.dst == self.source:
-                return e
-        raise UnknownNodeError(f"{v!r} has no surplus edge")
+    def circulation(self, real: Iterable[Money], surplus: Iterable[Money]) -> dict[EdgeId, Money]:
+        """Base-edge flows ``real``, in slot order, closed into a circulation
+        keyed by ascending edge id: node i's surplus edge carries
+        ``surplus[i]`` and its source edge ``external[i]``."""
+        ids, m = self.ids, len(self.slot)
+        flow = dict(zip(ids, real))
+        for block, amounts in ((ids[m::2], surplus), (ids[m + 1 :: 2], self.external)):
+            flow.update((e, x) for e, x in zip(block, amounts) if e is not None)
+        return flow
 
 
 def fresh_source_id(taken: Iterable[NodeId]) -> NodeId:
@@ -326,37 +355,12 @@ def fresh_source_id(taken: Iterable[NodeId]) -> NodeId:
 
 
 def build_circulation_network(net: FinancialNetwork) -> CirculationNetwork:
-    """Augment a valid network with the auxiliary source and its edges.
-
-    One unbounded (v, s) edge per firm; one (s, v) edge of weight a^x_v per
-    firm with positive external assets. Auxiliary edge ids continue after the
-    largest base edge id, (v, s) block first, both blocks in node order.
-    """
+    """The compiled circulation of a valid network; raises
+    ``InconsistentStateError`` on an invalid one."""
     report = net._report if net._report is not None else validate_network(net)
     if not report.ok:
         raise InconsistentStateError(f"invalid network: {report.violations[0]}")
-    source = fresh_source_id(net.nodes)
-    next_id = max((e.id for e in net.edges), default=-1) + 1
-    source_in = []
-    for v in net.nodes:
-        source_in.append(LiabilityEdge(next_id, v, source, UNBOUNDED))
-        next_id += 1
-    source_out = []
-    for v in net.nodes:
-        ext = net.external(v)
-        if ext > 0:
-            source_out.append(LiabilityEdge(next_id, source, v, ext))
-            next_id += 1
-    source_in, source_out = tuple(source_in), tuple(source_out)
-    return CirculationNetwork(
-        net.nodes + (source,),
-        {},
-        net.edges + source_in + source_out,
-        net,
-        source,
-        source_in,
-        source_out,
-    )
+    return CirculationNetwork(net)
 
 
 @dataclass(frozen=True)
@@ -416,11 +420,15 @@ def revenue(net: FinancialNetwork, cs: ClearingState) -> Money:
 
 def check_conservation(circ: CirculationNetwork, flows: FlowAssignment) -> None:
     """Raise ConservationError at the first node (in canonical order) out of balance."""
-    for v in sorted_nodes(circ.nodes):
-        inflow = sum(flows.get(e.id) for e in circ.in_edges(v))
-        outflow = sum(flows.get(e.id) for e in circ.out_edges(v))
-        if inflow != outflow:
-            raise ConservationError(v, outflow - inflow)
+    balance = [0] * len(circ.nodes)
+    for u, v, e in zip(circ.src, circ.dst, circ.ids):
+        if e is not None:
+            f = flows.get(e)
+            balance[u] += f
+            balance[v] -= f
+    for v, b in zip(circ.nodes, balance):
+        if b:
+            raise ConservationError(v, b)
 
 
 @dataclass(frozen=True)
@@ -443,39 +451,39 @@ def decompose_circulation(circ: CirculationNetwork, flows: FlowAssignment) -> Cy
     zeroes at least one edge.
     """
     check_conservation(circ, flows)
-    remaining = {e: f for e, f in flows.flow.items() if f > 0}
     if any(f < 0 for f in flows.flow.values()):
         bad = min(e for e, f in flows.flow.items() if f < 0)
         raise InconsistentStateError(f"negative flow on edge {bad}")
-    out_positive: dict[NodeId, list[LiabilityEdge]] = {}
-    for v in circ.nodes:
-        out_positive[v] = sorted(
-            (e for e in circ.out_edges(v) if remaining.get(e.id, 0) > 0), key=lambda e: e.id
-        )
-    order = sorted_nodes(circ.nodes)
+    remaining = {e: f for e, f in flows.flow.items() if f > 0}
+    out_positive: list[list[tuple[EdgeId, int]]] = [[] for _ in circ.nodes]
+    for k, e in enumerate(circ.ids):
+        if e in remaining:
+            out_positive[circ.src[k]].append((e, k))
+    for arcs in out_positive:
+        arcs.sort()
     cycles: list[tuple[EdgeId, ...]] = []
     mults: list[Money] = []
     while True:
-        start = next((v for v in order if out_positive[v]), None)
+        start = next((i for i, arcs in enumerate(out_positive) if arcs), None)
         if start is None:
             break
-        path_edges: list[LiabilityEdge] = []
-        seen_at: dict[NodeId, int] = {start: 0}
+        path: list[tuple[EdgeId, int]] = []
+        seen_at = {start: 0}
         u = start
         while True:
-            e = out_positive[u][0]
-            path_edges.append(e)
-            u = e.dst
+            arc = out_positive[u][0]
+            path.append(arc)
+            u = circ.dst[arc[1]]
             if u in seen_at:
-                cycle = path_edges[seen_at[u] :]
+                cycle = path[seen_at[u] :]
                 break
-            seen_at[u] = len(path_edges)
-        bottleneck = min(remaining[e.id] for e in cycle)
-        for e in cycle:
-            remaining[e.id] -= bottleneck
-            if remaining[e.id] == 0:
-                del remaining[e.id]
-                out_positive[e.src].remove(e)
-        cycles.append(tuple(e.id for e in cycle))
+            seen_at[u] = len(path)
+        bottleneck = min(remaining[e] for e, _ in cycle)
+        for arc in cycle:
+            remaining[arc[0]] -= bottleneck
+            if remaining[arc[0]] == 0:
+                del remaining[arc[0]]
+                out_positive[circ.src[arc[1]]].remove(arc)
+        cycles.append(tuple(e for e, _ in cycle))
         mults.append(bottleneck)
     return CycleDecomposition(tuple(cycles), tuple(mults))

@@ -39,6 +39,7 @@ from .core import (
     UnboundedType,
     _Exhausted,
     _Meter,
+    asset_ceiling,
     build_circulation_network,
     decompose_circulation,
     node_key,
@@ -237,10 +238,8 @@ def max_value_circulation(circ: CirculationNetwork) -> FlowAssignment:
     heap ties broken by node index. In the result every (source, firm) edge
     is saturated and each (firm, source) edge carries the firm's surplus.
     """
-    net = circ.base
-    nodes = sorted(net.nodes, key=node_key)
-    index = {v: i for i, v in enumerate(nodes)}
-    n = len(nodes)
+    net, src, dst = circ.base, circ.src, circ.dst
+    n = len(circ.nodes)
     S, T = n, n + 1
     # Residual arcs in pairs: arc a and its reverse a ^ 1.
     head: list[int] = []
@@ -255,12 +254,11 @@ def max_value_circulation(circ: CirculationNetwork) -> FlowAssignment:
         cost.extend((unit_cost, -unit_cost))
         adj[v].append(len(head) - 1)
 
-    real = sorted(net.edges, key=lambda e: e.id)
-    overdraft = [-net.external(v) for v in nodes]
-    for e in real:  # arc 2k reduces edge real[k]; its residual is the flow
-        add_arc(index[e.src], index[e.dst], e.weight, 1)
-        overdraft[index[e.src]] += e.weight
-        overdraft[index[e.dst]] -= e.weight
+    overdraft = [-x for x in circ.external]
+    for k, e in enumerate(net.edges):  # arc 2k reduces edge k; its residual is the flow
+        add_arc(src[k], dst[k], e.weight, 1)
+        overdraft[src[k]] += e.weight
+        overdraft[dst[k]] -= e.weight
     for i, b in enumerate(overdraft):
         if b > 0:
             add_arc(S, i, b, 0)
@@ -342,19 +340,15 @@ def max_value_circulation(circ: CirculationNetwork) -> FlowAssignment:
                 path.append(a)
                 u = head[a]
 
-    flow: dict[EdgeId, Money] = {}
-    surplus = [net.external(v) for v in nodes]
-    for k, e in enumerate(real):
-        flow[e.id] = cap[2 * k]
-        surplus[index[e.src]] -= cap[2 * k]
-        surplus[index[e.dst]] += cap[2 * k]
-    for e in circ.source_in:
-        if surplus[index[e.src]] < 0:
-            raise InconsistentStateError(f"firm {e.src!r} pays more than it holds")
-        flow[e.id] = surplus[index[e.src]]
-    for e in circ.source_out:
-        flow[e.id] = e.weight
-    return FlowAssignment({i: flow[i] for i in sorted(flow)})
+    real = cap[: 2 * len(net.edges) : 2]
+    surplus = circ.external.copy()
+    for u, v, f in zip(src, dst, real):
+        surplus[u] -= f
+        surplus[v] += f
+    for v, x in zip(circ.nodes, surplus):
+        if x < 0:
+            raise InconsistentStateError(f"firm {v!r} pays more than it holds")
+    return FlowAssignment(circ.circulation(real, surplus))
 
 
 @dataclass(frozen=True)
@@ -405,12 +399,6 @@ class BestResponse:
     value: Money
     exhaustive: bool
     evaluated: int
-
-
-def _asset_ceiling(net: FinancialNetwork, v: NodeId) -> Money:
-    return net.external(v) + sum(
-        e.weight for e in net.in_edges(v) if not e.is_unbounded()
-    )
 
 
 class _ExactPayoffs:
@@ -482,7 +470,7 @@ def _best_response_unit_subsets(
         pass
 
     try:
-        root_ub = min(ext + payoffs.inflow(unit_ids), _asset_ceiling(net, v))
+        root_ub = min(ext + payoffs.inflow(unit_ids), asset_ceiling(net, v))
 
         def grow(chosen: list[EdgeId], pool: Sequence[EdgeId]) -> None:
             nonlocal best_val, best_set
@@ -888,24 +876,23 @@ def _min_max_cycle_d(
     for k in range(m - 1, -1, -1):
         suffix_cap[k] = suffix_cap[k + 1] + real[k].weight
 
-    all_ids = sorted(e.id for e in circ.edges)
-    adjacency: dict[NodeId, list[tuple[NodeId, EdgeId]]] = {v: [] for v in circ.nodes}
-    for e in sorted(circ.edges, key=lambda e: (node_key(e.dst), e.id)):
-        adjacency[e.src].append((e.dst, e.id))
-    order = sorted(circ.nodes, key=node_key)
-    node_order = {v: i for i, v in enumerate(order)}
+    src, dst, external = circ.src, circ.dst, circ.external
+    all_ids = sorted(e for e in circ.ids if e is not None)
+    adjacency: list[list[tuple[int, EdgeId]]] = [[] for _ in circ.nodes]
+    for v, e, u in sorted((v, e, u) for u, v, e in zip(src, dst, circ.ids) if e is not None):
+        adjacency[u].append((v, e))
 
     best: Money | None = None
     fallback: Money | None = None
     exact = True
 
     def cycles_through(
-        pivot: NodeId, state: dict[EdgeId, Money], limit: int
+        pivot: int, state: dict[EdgeId, Money], limit: int
     ) -> Iterable[list[EdgeId]]:
         """Simple cycles with flow through ``pivot``, of at most ``limit``
         edges, over nodes after it, depth-first in adjacency order; ``state``
         may change between yields if it is restored before the next one."""
-        path: list[tuple[NodeId, EdgeId]] = []  # (node, edge into it) after the pivot
+        path: list[tuple[int, EdgeId]] = []  # (node, edge into it) after the pivot
         on_path = {pivot}
         arcs = [iter(adjacency[pivot])]
         while arcs:
@@ -920,7 +907,7 @@ def _min_max_cycle_d(
                 continue
             if w == pivot:
                 yield [e for _, e in path] + [eid]
-            elif node_order[w] > node_order[pivot] and w not in on_path and len(path) + 2 <= limit:
+            elif w > pivot and w not in on_path and len(path) + 2 <= limit:
                 path.append((w, eid))
                 on_path.add(w)
                 arcs.append(iter(adjacency[w]))
@@ -942,7 +929,7 @@ def _min_max_cycle_d(
             if hit is not None:
                 return hit
             pivot = next(
-                v for v in order if any(state.get(eid, 0) > 0 for _, eid in adjacency[v])
+                v for v, arcs in enumerate(adjacency) if any(state.get(e, 0) > 0 for _, e in arcs)
             )
             frames.append([key, cycles_through(pivot, state, limit), None])
             return None
@@ -990,9 +977,9 @@ def _min_max_cycle_d(
     # so far, less its inflow so far and the weight of its in-edges not yet
     # assigned. ``assign[k]`` is None while edge k has not been tried.
     assign: list[Money | None] = [None] * m
-    over = {v: 0 for v in net.nodes}
-    for e in real:
-        over[e.dst] -= e.weight
+    over = [0] * len(circ.nodes)
+    for v, e in zip(dst, real):
+        over[v] -= e.weight
     try:
         k, total, entering = 0, 0, True
         while k >= 0:
@@ -1003,26 +990,24 @@ def _min_max_cycle_d(
                     k -= 1
                     continue
                 if k == m:  # an optimum; each firm's surplus goes to the source
-                    vec = {e.id: f for e, f in zip(real, assign)}
-                    vec.update((e.id, net.external(e.src) - over[e.src]) for e in circ.source_in)
-                    vec.update((e.id, e.weight) for e in circ.source_out)
-                    d_here = min_max_length(vec)
+                    surplus = [x - y for x, y in zip(external, over)]
+                    d_here = min_max_length(circ.circulation(assign, surplus))
                     best = d_here if best is None else min(best, d_here)
                     k -= 1
                     continue
-                over[real[k].dst] += real[k].weight
-            e, f = real[k], assign[k]
+                over[dst[k]] += real[k].weight
+            u, v, w, f = src[k], dst[k], real[k].weight, assign[k]
             if f == 0:  # every flow on edge k is tried
                 assign[k] = None
-                over[e.dst] -= e.weight
+                over[v] -= w
                 k -= 1
                 continue
-            assign[k] = e.weight if f is None else f - 1
+            assign[k] = w if f is None else f - 1
             step = assign[k] - (f or 0)
-            over[e.src] += step
-            over[e.dst] -= step
+            over[u] += step
+            over[v] -= step
             total += step
-            if over[e.src] <= net.external(e.src) and over[e.dst] <= net.external(e.dst):
+            if over[u] <= external[u] and over[v] <= external[v]:
                 k += 1
                 entering = True
     except _Exhausted:

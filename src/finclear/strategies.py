@@ -17,18 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .core import (
-    UNBOUNDED,
-    CirculationNetwork,
-    ClearingState,
-    EdgeId,
-    FinancialNetwork,
-    FinclearError,
-    Money,
-    NodeId,
-    UnboundedType,
-    total_liabilities,
-)
+from .core import EdgeId, FinancialNetwork, FinclearError, Money, NodeId
 
 
 class StrategyError(FinclearError):
@@ -94,21 +83,6 @@ class StrategyProfile:
         return StrategyProfile(merged)
 
 
-@dataclass(frozen=True)
-class SegmentCursor:
-    """Where the owner's next unit of payment goes, and how far that segment runs.
-
-    ``active_edge`` is None only when the owner has already paid all
-    liabilities and the caller works on a bare network; on a circulation
-    network the surplus edge to the source takes over, with unbounded room.
-    """
-
-    owner: NodeId
-    paid_so_far: Money
-    active_edge: EdgeId | None
-    segment_remaining: Money | UnboundedType
-
-
 def check_strategy(strat: RankingStrategy, net: FinancialNetwork) -> None:
     """Raise StrategyError unless the strategy is well-formed for this network."""
     out_ids = sorted(e.id for e in net.out_edges(strat.owner))
@@ -168,58 +142,6 @@ def payment_vector(strat: RankingStrategy, net: FinancialNetwork, y) -> dict[Edg
         paid[e_id] += take
         left -= take
     return paid
-
-
-def active_segment(
-    strat: RankingStrategy,
-    net: FinancialNetwork | CirculationNetwork,
-    paid_so_far: Money,
-) -> SegmentCursor:
-    """The edge receiving the owner's next unit, and the units left in its segment.
-
-    Once liabilities are exhausted the next unit is surplus: on a circulation
-    network it goes to the (owner, source) edge, which has unbounded room.
-    """
-    if paid_so_far < 0:
-        raise StrategyError("paid_so_far must be non-negative")
-    cursor = paid_so_far
-    for e_id, length in payment_segments(strat, net):
-        if cursor < length:
-            return SegmentCursor(strat.owner, paid_so_far, e_id, length - cursor)
-        cursor -= length
-    if isinstance(net, CirculationNetwork):
-        surplus = net.surplus_edge(strat.owner)
-        return SegmentCursor(strat.owner, paid_so_far, surplus.id, UNBOUNDED)
-    return SegmentCursor(strat.owner, paid_so_far, None, UNBOUNDED)
-
-
-def threshold_from_flows(
-    v: NodeId,
-    net: FinancialNetwork,
-    cs: ClearingState,
-    unpaid_top: EdgeId,
-) -> ThresholdRankingStrategy:
-    """The threshold strategy reproducing v's payments in a given clearing state.
-
-    Thresholds are v's current per-edge flows; the ranking puts the designated
-    unpaid edge first (that is where any additional unit would go) and the
-    rest in ascending edge-id order. Only meaningful for firms insolvent in
-    the state; a solvent firm's strategy never affects the clearing state.
-    """
-    out = net.out_edges(v)
-    if not out:
-        raise StrategyError(f"{v!r} has no outgoing edges")
-    if cs.assets.get(v, 0) >= total_liabilities(net, v):
-        raise StrategyError(f"{v!r} is solvent; any strategy reproduces the state")
-    by_id = {e.id: e for e in out}
-    if unpaid_top not in by_id:
-        raise StrategyError(f"edge {unpaid_top} does not leave {v!r}")
-    top = by_id[unpaid_top]
-    if top.is_unbounded() or cs.flows.get(unpaid_top) >= top.weight:
-        raise StrategyError(f"edge {unpaid_top} carries full flow; pick an unpaid edge")
-    ranking = (unpaid_top,) + tuple(sorted(e for e in by_id if e != unpaid_top))
-    taus = {e.id: cs.flows.get(e.id) for e in out}
-    return ThresholdRankingStrategy.of(v, ranking, taus)
 
 
 def behavior_signature(strat: RankingStrategy, net: FinancialNetwork) -> tuple:

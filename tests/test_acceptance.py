@@ -24,7 +24,6 @@ from finclear import (
     ThreeDmInstance,
     ThreeDmVariant,
     Verdict,
-    active_segment,
     best_response_exact,
     enumerate_equilibria,
     gen_edge_spos_family,
@@ -42,12 +41,12 @@ from finclear import (
     oracle_max_sat,
     revenue,
     social_optimum_edge_ranking,
-    threshold_from_flows,
     top_cycle_increase,
     welfare_metrics,
 )
 from finclear.core import build_circulation_network, total_liabilities
 from finclear.equilibria import max_value_circulation
+from _reference import active_segment, threshold_from_flows
 from _samplers import random_net, random_profile, with_external
 
 

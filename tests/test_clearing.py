@@ -21,8 +21,8 @@ from finclear import (
     top_cycle_increase,
 )
 from finclear import clearing, cli
-from finclear.clearing import BudgetExhaustedError, ProfileError, _top
-from finclear.core import InconsistentStateError
+from finclear.clearing import BudgetExhaustedError, ProfileError
+from finclear.core import InconsistentStateError, asset_ceiling
 from finclear.io import load_network
 from _samplers import pro_rata_payment, random_net, random_profile, with_external
 
@@ -240,7 +240,7 @@ def test_pro_rata_is_the_fixed_point_below_every_jacobi_iterate(seed):
     assets = result.state.assets
     assert result.converged and result.iterations <= len(net.nodes)
     assert _pro_rata_map(net, assets) == assets
-    iterate = {v: Fraction(a) for v, a in _top(net).items()}
+    iterate = {v: Fraction(asset_ceiling(net, v)) for v in net.nodes}
     for _ in range(40):
         assert all(iterate[v] >= assets[v] for v in net.nodes)
         following = _pro_rata_map(net, iterate)

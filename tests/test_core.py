@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import copy
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from finclear import (
     UNBOUNDED,
@@ -13,20 +14,25 @@ from finclear import (
     FinancialNetwork,
     LiabilityEdge,
     revenue,
+    top_cycle_increase,
     validate_network,
 )
 from finclear.core import (
+    ConservationError,
     FlowAssignment,
     InconsistentStateError,
     UnknownNodeError,
     build_circulation_network,
     check_clearing_consistency,
+    check_conservation,
     decompose_circulation,
     node_key,
     sorted_nodes,
     total_liabilities,
 )
-from _samplers import with_external
+from finclear.equilibria import max_value_circulation
+from _reference import reference_circulation, reference_conservation, reference_decompose
+from _samplers import random_profile, with_external
 
 
 def extend_flows_to_circulation(circ, cs: ClearingState) -> FlowAssignment:
@@ -174,7 +180,7 @@ class TestCirculation:
 
     def test_aux_edges_cover_all_firms(self):
         net = chain_net()
-        circ = build_circulation_network(net)
+        circ = reference_circulation(net)
         # One unbounded surplus edge per firm; source-out only where externals are positive.
         assert {e.src for e in circ.source_in} == set(net.nodes)
         assert all(e.is_unbounded() for e in circ.source_in)
@@ -187,7 +193,7 @@ class TestCirculation:
 
     def test_extended_state_is_conservative(self):
         net = chain_net()
-        circ = build_circulation_network(net)
+        circ = reference_circulation(net)
         cs = state_for(net, {0: 2, 1: 1})
         flows = extend_flows_to_circulation(circ, cs)
         for v in circ.nodes:
@@ -199,12 +205,64 @@ class TestCirculation:
         net = FinancialNetwork.build(
             ["u", "v"], {}, [(0, "u", "v", 1), (1, "v", "u", 1)]
         )
-        circ = build_circulation_network(net)
+        graph = reference_circulation(net)
         cs = state_for(net, {0: 1, 1: 1})
-        flows = extend_flows_to_circulation(circ, cs)
-        decomp = decompose_circulation(circ, flows)
+        flows = extend_flows_to_circulation(graph, cs)
+        decomp = decompose_circulation(build_circulation_network(net), flows)
         assert all(m > 0 for m in decomp.multiplicity)
         recombined = recompose(decomp)
         assert all(
-            recombined.get(e.id) == flows.get(e.id) for e in circ.edges
+            recombined.get(e.id) == flows.get(e.id) for e in graph.edges
+        )
+
+
+_POOL = ("a", "b", "s", "s'", "t", "u", "v")
+
+
+@st.composite
+def _colliding_networks(draw) -> FinancialNetwork:
+    """Firms named from a pool that the source id collides with ("s", "s'")
+    or sorts among ("t" after "s"); parallel and zero-weight edges; edge ids
+    non-contiguous and given in shuffled order."""
+    names = draw(st.lists(st.sampled_from(_POOL), min_size=2, max_size=len(_POOL), unique=True))
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+        lambda p: p[0] != p[1]
+    )
+    ends = draw(st.lists(st.tuples(pairs, st.integers(0, 3)), max_size=10))
+    ids = draw(st.lists(st.integers(0, 40), min_size=len(ends), max_size=len(ends), unique=True))
+    edges = draw(st.permutations([(i, u, v, w) for i, ((u, v), w) in zip(ids, ends)]))
+    externals = draw(st.dictionaries(st.sampled_from(names), st.integers(0, 3)))
+    return FinancialNetwork.build(names, externals, edges)
+
+
+def _imbalance(check, circ, flows: FlowAssignment):
+    """The (node, imbalance) that ``check`` reports, or None."""
+    try:
+        check(circ, flows)
+    except ConservationError as exc:
+        return exc.node, exc.imbalance
+    return None
+
+
+@given(_colliding_networks(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_compiled_circulation_matches_the_explicit_graph(net, seed):
+    """The compiled circulation numbers, balances and decomposes flows
+    exactly as the explicit ``LiabilityEdge`` graph does."""
+    rng = random.Random(seed)
+    circ = build_circulation_network(net)
+    graph = reference_circulation(net)
+    fstar = max_value_circulation(circ)
+    assert list(fstar.flow) == sorted(e.id for e in graph.edges)
+    cleared = extend_flows_to_circulation(graph, top_cycle_increase(net, random_profile(rng, net)))
+    for flows in (fstar, cleared):
+        assert _imbalance(check_conservation, circ, flows) is None
+        assert _imbalance(reference_conservation, graph, flows) is None
+        assert decompose_circulation(circ, flows) == reference_decompose(graph, flows)
+        skewed = dict(flows.flow)
+        e = rng.choice(graph.edges).id
+        skewed[e] += rng.choice((-2, -1, 1, 2))
+        skewed = FlowAssignment(skewed)
+        assert _imbalance(check_conservation, circ, skewed) == _imbalance(
+            reference_conservation, graph, skewed
         )

@@ -24,15 +24,15 @@ from finclear.core import (
     ClearingState,
     FlowAssignment,
     InconsistentStateError,
-    build_circulation_network,
     node_key,
 )
 from finclear.strategies import payment_segments
+from _reference import reference_circulation
 from _samplers import random_profile, with_external
 
 
 def ref_clear(net, profile, cycle_rng=None) -> ClearingState:
-    circ = build_circulation_network(net)
+    circ = reference_circulation(net)
     order = sorted(circ.nodes, key=node_key)
     node_index = {v: i for i, v in enumerate(order)}
     n = len(order)

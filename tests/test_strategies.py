@@ -12,9 +12,7 @@ from finclear import (
     FinancialNetwork,
     StrategyProfile,
     ThresholdRankingStrategy,
-    active_segment,
     check_strategy,
-    threshold_from_flows,
     top_cycle_increase,
 )
 from finclear.strategies import (
@@ -23,6 +21,7 @@ from finclear.strategies import (
     payment_segments,
     payment_vector,
 )
+from _reference import active_segment, threshold_from_flows
 from _samplers import pro_rata_payment, random_net, random_profile, with_external
 
 
