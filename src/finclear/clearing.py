@@ -1,9 +1,9 @@
 """Clearing-state computation.
 
 Three engines. ``top_cycle_increase`` is the workhorse: strongly polynomial,
-exact, for edge/threshold-ranking profiles; ``clear_circulation`` reads the
-compiled ``CirculationNetwork`` and repeatedly pushes flow around cycles of
-per-firm "active" edges.
+exact, for edge/threshold-ranking profiles; ``clear_circulation`` takes each
+node's compiled int schedule (``compile_schedule``) and an external vector,
+not a profile, and repeatedly pushes flow around cycles of "active" edges.
 ``kleene_clearing`` is the lattice-theoretic oracle: Jacobi iteration of the
 asset operator from the top (greatest fixed point) or bottom (least), slow but
 independent, used to cross-check, under an optional budget.
@@ -41,6 +41,7 @@ from .core import (
 )
 from .strategies import (
     EdgeRankingStrategy,
+    RankingStrategy,
     StrategyProfile,
     ThresholdRankingStrategy,
     check_strategy,
@@ -95,31 +96,53 @@ def top_cycle_increase(
     """
     circ = build_circulation_network(net)
     _check_ranking_profile(net, profile)
-    return clear_circulation(circ, profile, cycle_rng=cycle_rng)
+    schedules = [compile_schedule(circ, v, profile.strategy_for(v)) for v in circ.nodes]
+    return cleared_state(circ, schedules, cycle_rng=cycle_rng)
+
+
+def compile_schedule(
+    circ: CirculationNetwork, v: NodeId, strat: RankingStrategy | None
+) -> list[tuple[int, Money]]:
+    """v's payment schedule in ``circ``'s slots: its strategy's ``payment_segments``
+    as (slot, length), then (its surplus slot, ``circ.capacity``); the source's
+    is empty. Raises ``ProfileError`` for a firm with out-edges and no strategy."""
+    if v == circ.source:
+        return []
+    net, slot = circ.base, circ.slot
+    if strat is None and net.out_edges(v):
+        raise ProfileError(f"no strategy for firm {v!r} with outgoing edges")
+    segments = payment_segments(strat, net) if net.out_edges(v) else ()
+    return [(slot[e], x) for e, x in segments] + [(len(slot) + 2 * circ.index[v], circ.capacity)]
+
+
+def cleared_state(
+    circ: CirculationNetwork, schedules: list, *, cycle_rng: random.Random | None = None
+) -> ClearingState:
+    """The ``ClearingState`` of compiled ``schedules`` at ``circ``'s externals."""
+    flows = clear_circulation(circ, schedules, circ.external, cycle_rng=cycle_rng)
+    return _clearing_state(circ.base, dict(zip(circ.ids, flows[: len(circ.slot)])))
 
 
 def clear_circulation(
     circ: CirculationNetwork,
-    profile: StrategyProfile,
+    schedules: list[list[tuple[int, Money]]],
+    external: list[Money],
     *,
     cycle_rng: random.Random | None = None,
-    surgery: tuple[NodeId, tuple[EdgeId, ...]] | None = None,
-) -> ClearingState:
-    """Run the cycle-pushing algorithm on a prebuilt circulation network.
+) -> list[Money]:
+    """Run the cycle-pushing algorithm; return the flow on every slot of ``circ``.
 
-    The kernel checks no strategy: ``profile`` must have passed
-    ``_check_ranking_profile`` against ``circ.base``, as the public entry
-    points and ``_Game`` ensure. Only a firm with out-edges and no strategy
-    raises ``ProfileError``, from the schedule loop that looks it up.
-    Surgery (v, paid): v pays exactly the edges ``paid``, in order, then
-    surplus, out of externals raised by len(paid), whatever ``profile``
-    says. Assets count the network's externals; v's inflow is its
-    ``internal_assets`` entry.
+    ``schedules[i]`` is node i's ``compile_schedule``, from strategies checked
+    against ``circ.base`` (the kernel checks nothing); the source's entry is
+    ignored, and the source pays node i ``external[i]``.
 
-    Every firm always has an active edge (its surplus edge to the source is
-    last, with unbounded room), so flow walks die only at the exhausted
-    source. Each push saturates at least one finite segment, bounding the
-    number of pushes by |V| + 2|E| + 2.
+    Every firm's schedule ends in its surplus edge with room ``circ.capacity``
+    = 1 + sum(ext) + sum(w), which no push fills, even where a caller raised
+    an external: a firm paying exactly a set P of its unit out-edges out of
+    ext_v + |P| holds at most ext_v + |P| + in_w(v), and |P| <= out_w(v), so
+    without self-loops it holds less than the room. So flow walks die only
+    at the exhausted source. Each push saturates at least one finite
+    segment, bounding the number of pushes by |V| + 2|E| + 2.
 
     The walks cost O(V + E + the summed lengths of the pushed cycles), on
     two invariants. A node is dead once its walk reaches the exhausted
@@ -129,25 +152,8 @@ def clear_circulation(
     the first cycle node whose segment saturated: it resumes there, and the
     scan over start nodes resumes where it stopped.
     """
-    net, slot, dst, external = circ.base, circ.slot, circ.dst, circ.external
-    extra = len(surgery[1]) if surgery is not None else 0
-    m, room = len(slot), circ.capacity + extra
-    schedules: list[list[tuple[int, Money]]] = [[] for _ in external]
-    for v in net.nodes:
-        i = circ.index[v]
-        if surgery is not None and v == surgery[0]:
-            strat = EdgeRankingStrategy(v, surgery[1])
-            external = external.copy()
-            external[i] += extra
-        elif net.out_edges(v):
-            strat = profile.strategy_for(v)
-            if strat is None:
-                raise ProfileError(f"no strategy for firm {v!r} with outgoing edges")
-        else:
-            strat = None
-        if strat is not None:
-            schedules[i] = [(slot[e], length) for e, length in payment_segments(strat, net)]
-        schedules[i].append((m + 2 * i, room))
+    dst, m = circ.dst, len(circ.slot)
+    schedules = schedules.copy()
     schedules[circ.index[circ.source]] = [
         (m + 2 * i + 1, x) for i, x in enumerate(external) if x > 0
     ]
@@ -202,7 +208,7 @@ def clear_circulation(
         for w in path:
             at[w] = -2
         path.clear()
-    return _clearing_state(net, {e.id: flows[k] for k, e in enumerate(net.edges)})
+    return flows
 
 
 def _clearing_state(

@@ -22,6 +22,7 @@ from .clearing import (
     KleeneStart,
     _check_ranking_profile,
     clear_pro_rata,
+    compile_schedule,
     kleene_clearing,
 )
 from .core import (
@@ -83,7 +84,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _InputError(Exception):
-    """Bad input data: parse failure, failed validation, missing strategy."""
+    """Bad input data: an unreadable file, failed validation, missing strategy."""
 
 
 def _read_document(path: str | None) -> NetworkDocument:
@@ -95,10 +96,7 @@ def _read_document(path: str | None) -> NetworkDocument:
                 text = fh.read()
         except OSError as exc:
             raise _InputError(f"cannot read {path}: {exc.strerror}") from exc
-    try:
-        return parse_document(text)
-    except FinclearError as exc:
-        raise _InputError(str(exc)) from exc
+    return parse_document(text)
 
 
 def _validated(doc: NetworkDocument) -> FinancialNetwork:
@@ -166,10 +164,6 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timeout-secs", type=float, default=60.0)
 
 
-def _space(name: str) -> SearchSpace:
-    return SearchSpace.EDGE if name == "edge" else SearchSpace.THRESHOLD
-
-
 def _cycle_rng() -> random.Random | None:
     seed = os.environ.get(SEED_ENV)
     return random.Random(int(seed)) if seed else None
@@ -211,7 +205,8 @@ def _cmd_clear(args) -> int:
         if override is not None:
             _check_ranking_profile(net, profile)
         circ = clearing.build_circulation_network(net)
-        state = clearing.clear_circulation(circ, profile, cycle_rng=_cycle_rng())
+        schedules = [compile_schedule(circ, v, profile.strategy_for(v)) for v in circ.nodes]
+        state = clearing.cleared_state(circ, schedules, cycle_rng=_cycle_rng())
     else:
         start = KleeneStart.TOP if args.oracle == "kleene-top" else KleeneStart.BOTTOM
         try:
@@ -254,7 +249,7 @@ def _cmd_best_response(args) -> int:
         profile = profile.replace(default)
     profile = _full_profile(net, profile, None)
     result = best_response_exact(
-        net, profile, firm, space=_space(args.space), budget=_budget(args)
+        net, profile, firm, space=SearchSpace(args.space), budget=_budget(args)
     )
     print(f"value = {result.value}")
     print(f"strategy = {_fmt_strategy(result.strategy)}")
@@ -266,19 +261,9 @@ def _cmd_check(args) -> int:
     doc = _read_document(args.network)
     net = _validated(doc)
     profile = _full_profile(net, doc.profile, None)
-    if args.strong:
-        report = is_strong_equilibrium(
-            net, profile, budget=_budget(args), space=_space(args.space)
-        )
-    else:
-        report = is_nash(net, profile, budget=_budget(args), space=_space(args.space))
-    verdict = {
-        Verdict.NASH: "nash",
-        Verdict.NOT_NASH: "not-nash",
-        Verdict.STRONG: "strong",
-        Verdict.NOT_STRONG: "not-strong",
-    }[report.verdict]
-    print(f"verdict = {verdict}")
+    check = is_strong_equilibrium if args.strong else is_nash
+    report = check(net, profile, budget=_budget(args), space=SearchSpace(args.space))
+    print(f"verdict = {report.verdict.value}")
     print(f"exhaustive = {'true' if report.exhaustive else 'false'}")
     if report.witness is not None:
         coalition = ",".join(report.witness.coalition)
@@ -298,7 +283,7 @@ def _cmd_enumerate(args) -> int:
     net = _validated(doc)
     result = enumerate_equilibria(
         net,
-        space=_space(args.space),
+        space=SearchSpace(args.space),
         budget=_budget(args),
         fixed=doc.profile if doc.profile.strategies else None,
     )
@@ -321,7 +306,7 @@ def _cmd_metrics(args) -> int:
     net = _validated(doc)
     metrics = welfare_metrics(
         net,
-        space=_space(args.space),
+        space=SearchSpace(args.space),
         budget=_budget(args),
         fixed=doc.profile if doc.profile.strategies else None,
         compute_d=not args.no_d,
@@ -381,14 +366,7 @@ def _cmd_gen(args, parser: argparse.ArgumentParser) -> int:
                 if len(t) != 3:
                     raise _UsageError(parser, f"--triple needs exactly 3 elements, got {t}")
             inst = ThreeDmInstance.of(elements, triples)
-            variant = (
-                ThreeDmVariant.BEST_RESPONSE
-                if args.variant == "best-response"
-                else ThreeDmVariant.DECISION
-            )
-            net, profile, _ = gen_from_3dm(inst, variant)
-        else:  # argparse choices make this unreachable
-            raise _UsageError(parser, f"unknown family '{family}'")
+            net, profile, _ = gen_from_3dm(inst, ThreeDmVariant(args.variant))
     except ValueError as exc:  # a generator rejected a parameter value
         raise _UsageError(parser, str(exc)) from None
     sys.stdout.write(render_document(net, profile))
@@ -466,39 +444,32 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_COMMANDS = {
+    "validate": _cmd_validate,
+    "clear": _cmd_clear,
+    "opt-se": _cmd_opt_se,
+    "best-response": _cmd_best_response,
+    "check": _cmd_check,
+    "enumerate": _cmd_enumerate,
+    "metrics": _cmd_metrics,
+    "export-dot": _cmd_export_dot,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError(parser, "a subcommand is required")
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "clear":
-            return _cmd_clear(args)
-        if args.command == "opt-se":
-            return _cmd_opt_se(args)
-        if args.command == "best-response":
-            return _cmd_best_response(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
         if args.command == "gen":
             return _cmd_gen(args, parser)
-        if args.command == "export-dot":
-            return _cmd_export_dot(args)
-        raise _UsageError(parser, f"unknown subcommand '{args.command}'")
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(exc.parser.format_usage(), file=sys.stderr, end="")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _InputError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
-    except FinclearError as exc:
+    except (_InputError, FinclearError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
 

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     UNBOUNDED,
@@ -52,7 +52,7 @@ from .strategies import (
     ThresholdRankingStrategy,
     behavior_signature,
 )
-from .clearing import _check_ranking, clear_circulation
+from .clearing import _check_ranking, cleared_state, clear_circulation, compile_schedule
 
 
 class SearchSpace(Enum):
@@ -86,8 +86,9 @@ class _Game:
     ``net.nodes`` order) per code, cleared by ``clear_circulation`` on the
     first lookup. The meter is charged per strategy candidate as a tuple is
     built and per table miss: each candidate and each distinct profile is
-    charged once per game. The given strategies are checked once, here;
-    the strategies built from ``net.out_edges`` need no check, so no clear
+    charged once per game. The given strategies are checked and compiled
+    once, here; a clear compiles only the searched firms that left home.
+    Strategies built from ``net.out_edges`` need no check, so no clear
     checks any.
     """
 
@@ -110,6 +111,13 @@ class _Game:
             if v in self.given:
                 _check_ranking(net, v, self.given[v])
         self.at = {v: i for i, v in enumerate(net.nodes)}
+        self.external = tuple(net.external(v) for v in net.nodes)
+        self.dst = [self.at[e.dst] for e in net.edges]  # base slot -> position in net.nodes
+        unset = set(self.firms).difference(self.given)
+        self.base = [  # None for a firm with out-edges and no given strategy
+            None if v in unset else compile_schedule(self.circ, v, self.given.get(v))
+            for v in self.circ.nodes
+        ]
         self.options: dict[NodeId, tuple[RankingStrategy, ...]] = {}
         self.space_size: dict[NodeId, int] = {}
         self.home: dict[NodeId, int | None] = {}
@@ -155,22 +163,37 @@ class _Game:
         ]
         return map(sum, itertools.product(*digits))
 
+    def moved(self, code: int) -> Iterator[tuple[NodeId, RankingStrategy]]:
+        """(v, strategy) for each searched firm whose strategy in ``code`` is not its given one."""
+        for v, opts in self.options.items():
+            i = self.index(code, v)
+            if i != self.home[v]:
+                yield v, opts[i]
+
     def profile(self, code: int) -> StrategyProfile:
-        strategies = dict(self.given)
-        for v in self.firms:
-            if v in self.options:
-                i = self.index(code, v)
-                if i != self.home[v]:
-                    strategies[v] = self.options[v][i]
-        return StrategyProfile(strategies)
+        return StrategyProfile({**self.given, **dict(self.moved(code))})
+
+    def schedules(self, code: int) -> list:
+        schedules = self.base.copy()
+        for v, strat in self.moved(code):
+            schedules[self.circ.index[v]] = compile_schedule(self.circ, v, strat)
+        return schedules
+
+    def assets(self, schedules: list, external: list[Money]) -> tuple[Money, ...]:
+        """The network's externals plus each firm's inflow, in ``net.nodes``
+        order, when ``schedules`` clear with ``external`` paid in."""
+        if None in schedules:  # a firm with out-edges and no strategy: raises ProfileError
+            compile_schedule(self.circ, self.circ.nodes[schedules.index(None)], None)
+        assets = list(self.external)
+        for i, f in zip(self.dst, clear_circulation(self.circ, schedules, external)):
+            assets[i] += f
+        return tuple(assets)
 
     def clear(self, code: int) -> tuple[Money, ...]:
         assets = self.table.get(code)
         if assets is None:
             self.meter.charge()
-            state = clear_circulation(self.circ, self.profile(code))
-            assets = tuple(state.assets[v] for v in self.net.nodes)
-            self.table[code] = assets
+            assets = self.table[code] = self.assets(self.schedules(code), self.circ.external)
         return assets
 
 
@@ -377,7 +400,7 @@ def optimal_strong_equilibrium(net: FinancialNetwork) -> OptimalStrongEquilibriu
                 v, tuple(out_ids), {e: fstar.get(e) for e in out_ids}
             )
     profile = StrategyProfile.of(strategies)
-    state = clear_circulation(circ, profile)
+    state = cleared_state(circ, [compile_schedule(circ, v, strategies.get(v)) for v in circ.nodes])
     for e in net.edges:
         if state.flows.get(e.id) != fstar.get(e.id):
             raise InconsistentStateError(
@@ -404,9 +427,9 @@ class BestResponse:
 class _ExactPayoffs:
     """v's inflow when it pays exactly a chosen set of its unit out-edges.
 
-    h(P) is computed by surgery on the game's circulation: v pays exactly
-    the edges of P, sorted, and then surplus, out of external assets raised
-    by |P|, so it is solvent and pays P in full; then clear.
+    h(P) clears the game's given schedules with v's replaced by the edges of
+    P, sorted, at length 1 each, then its surplus, and v's external raised
+    by |P|, so v is solvent and pays P in full; no network is rebuilt.
     h is monotone in P, and adding one unit edge raises it by at most 1:
     every other firm's payment response is 1-Lipschitz in its assets, so flow
     conservation bounds the extra inflow at v by the one extra unit v emits.
@@ -422,19 +445,16 @@ class _ExactPayoffs:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        self.game.meter.charge()
-        given = StrategyProfile(self.game.given)
-        state = clear_circulation(self.game.circ, given, surgery=(self.v, key))
-        value = state.internal_assets[self.v]
-        self._cache[key] = value
+        game, circ = self.game, self.game.circ
+        game.meter.charge()
+        i = circ.index[self.v]
+        schedules = game.base.copy()
+        schedules[i] = [(circ.slot[e], 1) for e in key] + [(len(circ.slot) + 2 * i, circ.capacity)]
+        external = circ.external.copy()
+        external[i] += len(key)
+        j = game.at[self.v]
+        value = self._cache[key] = game.assets(schedules, external)[j] - game.external[j]
         return value
-
-
-def _subset_ranking(
-    chosen: Sequence[EdgeId], unit_ids: Sequence[EdgeId], zero_ids: Sequence[EdgeId]
-) -> tuple[EdgeId, ...]:
-    rest = sorted(set(unit_ids) - set(chosen))
-    return tuple(sorted(chosen)) + tuple(rest) + tuple(zero_ids)
 
 
 def _best_response_unit_subsets(
@@ -524,9 +544,12 @@ def _best_response_unit_subsets(
         except _Exhausted:
             exhausted = True
 
-    strategy = EdgeRankingStrategy(v, _subset_ranking(best_set, unit_ids, zero_ids))
+    rest = sorted(set(unit_ids) - set(best_set))
+    strategy = EdgeRankingStrategy(v, (*sorted(best_set), *rest, *zero_ids))
     if not exhausted:
-        check = clear_circulation(game.circ, StrategyProfile({**game.given, v: strategy}))
+        schedules = game.base.copy()
+        schedules[game.circ.index[v]] = compile_schedule(game.circ, v, strategy)
+        check = cleared_state(game.circ, schedules)
         if check.assets[v] != best_val:
             raise InconsistentStateError(
                 "subset search value does not match the cleared best response"
@@ -795,10 +818,8 @@ def enumerate_equilibria(
     found, _, exhaustive = _enumerate(game, check_strong)
     findings = []
     for code, report in found:
-        profile = game.profile(code)
-        findings.append(
-            EquilibriumFinding(profile, clear_circulation(game.circ, profile), report)
-        )
+        state = cleared_state(game.circ, game.schedules(code))
+        findings.append(EquilibriumFinding(game.profile(code), state, report))
     return EnumerationResult(tuple(findings), exhaustive)
 
 

@@ -439,9 +439,11 @@ def test_invalid_profiles_are_rejected_at_the_boundary(entry, fault, error):
 
 def test_enumeration_checks_each_given_strategy_once(monkeypatch):
     """A solvable 3DM decision gadget: thousands of profiles are cleared, but
-    each fixed strategy is checked once, when the game is set up. Calls are
-    counted in every module that looks ``check_strategy`` up."""
-    calls = []
+    each fixed strategy is checked once, when the game is set up, and
+    compiled into a schedule once, for the whole game; no clear builds a
+    ``StrategyProfile``. Calls are counted in every module that looks
+    ``check_strategy`` or ``compile_schedule`` up."""
+    calls, compiled = [], []
     for module in (clearing, equilibria):
         if hasattr(module, "check_strategy"):
             original = module.check_strategy
@@ -451,9 +453,39 @@ def test_enumeration_checks_each_given_strategy_once(monkeypatch):
                 return _original(strat, net)
 
             monkeypatch.setattr(module, "check_strategy", counted)
+        if hasattr(module, "compile_schedule"):
+            original = module.compile_schedule
+
+            def counted_compile(circ, v, strat, _original=original):
+                compiled.append((v, strat))
+                return _original(circ, v, strat)
+
+            monkeypatch.setattr(module, "compile_schedule", counted_compile)
+    clearing_now, built_in_clear = [], []
+    clear, init = equilibria._Game.clear, StrategyProfile.__init__
+
+    def watched_clear(self, code):
+        clearing_now.append(code)
+        try:
+            return clear(self, code)
+        finally:
+            clearing_now.pop()
+
+    def counted_init(self, *args, **kwargs):
+        if clearing_now:
+            built_in_clear.append(clearing_now[-1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(equilibria._Game, "clear", watched_clear)
+    monkeypatch.setattr(StrategyProfile, "__init__", counted_init)
     inst = ThreeDmInstance.of((1, 2, 3), [(1, 2, 3)])
     net, fixed, _ = gen_from_3dm(inst, ThreeDmVariant.DECISION)
     found = enumerate_equilibria(net, fixed=fixed, budget=SearchBudget(10**7))
     assert found.exhaustive and found.findings
     assert len(calls) <= len(fixed.strategies)
     assert len(set(calls)) == len(calls)
+    given = fixed.strategies
+    fixed_compiles = [v for v, strat in compiled if v in given and strat == given[v]]
+    assert sorted(fixed_compiles) == sorted(given)
+    assert len(compiled) > len(fixed_compiles)  # the searched firms' options
+    assert built_in_clear == []

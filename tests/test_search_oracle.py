@@ -33,6 +33,7 @@ from finclear import (
     gen_spoa_family,
     is_nash,
     is_strong_equilibrium,
+    kleene_clearing,
     min_max_cycle_d,
     oracle_max_sat,
     social_optimum_edge_ranking,
@@ -290,6 +291,40 @@ def test_cycle_bound_search_depth_is_not_bounded_by_the_recursion_limit():
     assert (bound.value, bound.exact) == (n, True)
 
 
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(SearchSpace)))
+@settings(max_examples=60, deadline=None)
+def test_game_clear_matches_kleene_on_every_searched_profile(seed, space):
+    """Random games of 2-6 firms with a random subset of the firms given:
+    every profile of the searched firms, cleared from the game's compiled
+    schedules, has the assets that the Kleene oracle finds for
+    ``game.profile(code)``, in ``net.nodes`` order. The names put the
+    circulation's source "s" before some firms and after others, so a
+    schedule written at a firm's ``net.nodes`` position instead of its
+    ``circ.index`` shows. Weights are small, firms with more than three
+    (threshold space) or four (edge space) out-edges are always given, and
+    searched firms are given back until at most 300 profiles remain."""
+    rng = random.Random(seed)
+    names = rng.sample(["a", "b", "t", "u", "n1", "n2", "x9"], rng.randint(2, 6))
+    edges = [
+        (i, *rng.sample(names, 2), 0 if rng.random() < 0.1 else rng.randint(1, 2))
+        for i in range(rng.randint(len(names), 3 * len(names)))
+    ]
+    externals = {v: rng.randint(0, 2) for v in names if rng.random() < 0.5}
+    net = FinancialNetwork.build(names, externals, edges)
+    profile = random_profile(rng, net)
+    firms = [v for v in net.nodes if net.out_edges(v)]
+    big = 3 if space is SearchSpace.THRESHOLD else 4
+    searched = [v for v in firms if rng.random() < 0.7 and len(net.out_edges(v)) <= big]
+    sizes = {v: len(strategy_space(net, v, space)) for v in searched}
+    while math.prod(sizes[v] for v in searched) > 300:
+        searched.pop(rng.randrange(len(searched)))
+    given_part = {v: profile.strategy_for(v) for v in firms if v not in searched}
+    game = equilibria._Game(net, SearchBudget(), space, given_part)
+    for code in game.codes(searched):
+        expected = kleene_clearing(net, game.profile(code)).assets
+        assert game.clear(code) == tuple(expected[v] for v in net.nodes)
+
+
 C12_FORMULA = SatFormula.of(5, [(1, 2, -3), (1, -2, 4), (3, -4), (2, -3, 4, 5)])
 
 
@@ -297,8 +332,10 @@ C12_FORMULA = SatFormula.of(5, [(1, 2, -3), (1, -2, 4), (3, -4), (2, -3, 4, 5)])
 @settings(max_examples=60, deadline=None)
 def test_surgery_inflow_matches_a_rebuilt_network_for_every_subset(seed):
     """Unit edges (a few of weight 0), 2-6 firms: for every firm and every
-    subset of its unit out-edges, the in-place surgery on the game's own
-    circulation gives the inflow of the trimmed, rebuilt network."""
+    subset of its unit out-edges, clearing the game's compiled schedules
+    with the firm's schedule replaced by that subset (then surplus) and its
+    external raised by the subset's size gives the inflow of the trimmed,
+    rebuilt network."""
     rng = random.Random(seed)
     n = rng.randint(2, 6)
     names = [f"n{i}" for i in range(1, n + 1)]
@@ -319,7 +356,8 @@ def test_surgery_inflow_matches_a_rebuilt_network_for_every_subset(seed):
 
 
 def test_surgery_inflow_matches_a_rebuilt_network_on_the_formula_gadget(monkeypatch):
-    """Every subset that the best response on the worked formula scores."""
+    """Every subset that the best response on the worked formula scores, by
+    schedule substitution on the game's own circulation."""
     net, profile, firm = gen_from_sat(C12_FORMULA)
     scored = {}
     inflow = equilibria._ExactPayoffs.inflow
@@ -336,8 +374,8 @@ def test_surgery_inflow_matches_a_rebuilt_network_on_the_formula_gadget(monkeypa
 
 
 def test_best_response_on_the_formula_gadget_builds_one_circulation(monkeypatch):
-    """The subset search clears the game's circulation by surgery; it builds
-    no network of its own."""
+    """The subset search substitutes the firm's schedule in the game's
+    compiled circulation; it builds no network of its own."""
     counts = _count_calls(monkeypatch, ("build_circulation_network",))
     net, profile, firm = gen_from_sat(C12_FORMULA)
     br = best_response_exact(net, profile, firm, budget=SearchBudget(max_candidates=10**7))
