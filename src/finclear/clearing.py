@@ -71,14 +71,16 @@ def _check_ranking_profile(net: FinancialNetwork, profile: StrategyProfile) -> N
 
 
 def _check_ranking(net: FinancialNetwork, v: NodeId, strat) -> None:
-    """Raise ``ProfileError`` unless ``strat`` is a ranking strategy, and
-    ``StrategyError`` unless it is well-formed for v's out-edges."""
+    """Raise ``ProfileError`` unless ``strat`` is a ranking strategy owned by
+    v, and ``StrategyError`` unless it is well-formed for v's out-edges."""
     if strat is None:
         raise ProfileError(f"no strategy for firm {v!r} with outgoing edges")
     if not isinstance(strat, (EdgeRankingStrategy, ThresholdRankingStrategy)):
         raise ProfileError(
             f"firm {v!r} has a {type(strat).__name__}; ranking strategy required"
         )
+    if strat.owner != v:
+        raise ProfileError(f"firm {v!r} has a strategy owned by {strat.owner!r}")
     check_strategy(strat, net)
 
 

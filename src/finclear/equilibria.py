@@ -82,14 +82,14 @@ class _Game:
     new tuple becomes the most significant digit, which leaves stored codes
     valid; ``codes`` builds its firms' tuples last one first, so the first
     firm in ``net.nodes`` order is most significant and codes come in
-    ``itertools.product`` order. The table holds one asset tuple (in
-    ``net.nodes`` order) per code, cleared by ``clear_circulation`` on the
+    ``itertools.product`` order. The table holds one asset tuple (indexed
+    like ``circ.nodes``) per code, cleared by ``clear_circulation`` on the
     first lookup. The meter is charged per strategy candidate as a tuple is
     built and per table miss: each candidate and each distinct profile is
     charged once per game. The given strategies are checked and compiled
-    once, here; a clear compiles only the searched firms that left home.
-    Strategies built from ``net.out_edges`` need no check, so no clear
-    checks any.
+    once, here, and each searched option as its tuple is built, its home
+    reusing the given schedule, so no clear compiles. Strategies built from
+    ``net.out_edges`` need no check, so no clear checks any.
     """
 
     def __init__(
@@ -110,15 +110,14 @@ class _Game:
         for v in self.firms:
             if v in self.given:
                 _check_ranking(net, v, self.given[v])
-        self.at = {v: i for i, v in enumerate(net.nodes)}
-        self.external = tuple(net.external(v) for v in net.nodes)
-        self.dst = [self.at[e.dst] for e in net.edges]  # base slot -> position in net.nodes
+        self.liabilities = {v: total_liabilities(net, v) for v in self.firms}
         unset = set(self.firms).difference(self.given)
         self.base = [  # None for a firm with out-edges and no given strategy
             None if v in unset else compile_schedule(self.circ, v, self.given.get(v))
             for v in self.circ.nodes
         ]
         self.options: dict[NodeId, tuple[RankingStrategy, ...]] = {}
+        self.compiled: dict[NodeId, tuple[list, ...]] = {}  # v -> one schedule per option
         self.space_size: dict[NodeId, int] = {}
         self.home: dict[NodeId, int | None] = {}
         self.stride: dict[NodeId, int] = {}
@@ -139,6 +138,10 @@ class _Game:
             home = sigs.index(sigs[-1])
             if home == len(opts):
                 opts += (given,)
+        self.compiled[v] = tuple(
+            self.base[self.circ.index[v]] if i == home else compile_schedule(self.circ, v, s)
+            for i, s in enumerate(opts)
+        )
         self.options[v], self.home[v], self.stride[v] = opts, home, self.radix
         self.offset += (home or 0) * self.radix
         self.radix *= len(opts)
@@ -175,17 +178,18 @@ class _Game:
 
     def schedules(self, code: int) -> list:
         schedules = self.base.copy()
-        for v, strat in self.moved(code):
-            schedules[self.circ.index[v]] = compile_schedule(self.circ, v, strat)
+        for v, compiled in self.compiled.items():
+            schedules[self.circ.index[v]] = compiled[self.index(code, v)]
         return schedules
 
     def assets(self, schedules: list, external: list[Money]) -> tuple[Money, ...]:
-        """The network's externals plus each firm's inflow, in ``net.nodes``
-        order, when ``schedules`` clear with ``external`` paid in."""
+        """The network's externals plus each node's inflow, indexed like
+        ``circ.nodes``, when ``schedules`` clear with ``external`` paid in."""
+        circ = self.circ
         if None in schedules:  # a firm with out-edges and no strategy: raises ProfileError
-            compile_schedule(self.circ, self.circ.nodes[schedules.index(None)], None)
-        assets = list(self.external)
-        for i, f in zip(self.dst, clear_circulation(self.circ, schedules, external)):
+            compile_schedule(circ, circ.nodes[schedules.index(None)], None)
+        assets = circ.external.copy()
+        for i, f in zip(circ.dst[: len(circ.slot)], clear_circulation(circ, schedules, external)):
             assets[i] += f
         return tuple(assets)
 
@@ -452,8 +456,7 @@ class _ExactPayoffs:
         schedules[i] = [(circ.slot[e], 1) for e in key] + [(len(circ.slot) + 2 * i, circ.capacity)]
         external = circ.external.copy()
         external[i] += len(key)
-        j = game.at[self.v]
-        value = self._cache[key] = game.assets(schedules, external)[j] - game.external[j]
+        value = self._cache[key] = game.assets(schedules, external)[i] - circ.external[i]
         return value
 
 
@@ -566,8 +569,8 @@ def _best_response(game: _Game, v: NodeId) -> BestResponse:
     used_before = game.meter.used
     current = game.given.get(v)
     if current is not None:
-        base = game.clear(0)[game.at[v]]
-        if base >= total_liabilities(net, v):
+        base = game.clear(0)[game.circ.index[v]]
+        if base >= game.liabilities[v]:
             # A solvent firm's strategy never changes the clearing state.
             return BestResponse(current, base, True, game.meter.used - used_before)
 
@@ -582,7 +585,7 @@ def _best_response(game: _Game, v: NodeId) -> BestResponse:
     try:
         opts = game.strategies(v)
         for i in range(game.space_size[v]):
-            value = game.clear(game.move(0, v, i))[game.at[v]]
+            value = game.clear(game.move(0, v, i))[game.circ.index[v]]
             if value > best_val:
                 best_val = value
                 best_strat = opts[i]
@@ -638,9 +641,8 @@ class EquilibriumReport:
 
 def _insolvent_firms(game: _Game, assets: Sequence[Money]) -> list[NodeId]:
     """Firms whose strategy can matter: outgoing edges, insolvent in the state."""
-    return [
-        v for v in game.firms if assets[game.at[v]] < total_liabilities(game.net, v)
-    ]
+    at = game.circ.index
+    return [v for v, owed in game.liabilities.items() if assets[at[v]] < owed]
 
 
 def is_nash(
@@ -663,7 +665,7 @@ def is_nash(
         for v in _insolvent_firms(game, base):
             br = _best_response(game, v)
             exhaustive = exhaustive and br.exhaustive
-            before = base[game.at[v]]
+            before = base[game.circ.index[v]]
             if br.value > before:
                 witness = DeviationWitness((v,), {v: br.strategy}, {v: before}, {v: br.value})
                 return EquilibriumReport(Verdict.NOT_NASH, witness, space, True)
@@ -705,7 +707,7 @@ def _coalition_members(game: _Game, assets: Sequence[Money]) -> list[NodeId]:
 def _is_strong(game: _Game, code: int) -> EquilibriumReport:
     base = game.clear(code)
     members = _coalition_members(game, base)
-    at, stride, options = game.at, game.stride, game.options
+    at, stride, options = game.circ.index, game.stride, game.options
     for size in range(1, len(members) + 1):
         for coalition in itertools.combinations(members, size):
             start = code - sum(game.index(code, v) * stride[v] for v in coalition)
@@ -775,6 +777,7 @@ def _enumerate(
     finished within budget.
     """
     firms = [v for v in game.firms if v not in game.given]
+    at = game.circ.index
     found: list[tuple[int, EquilibriumReport]] = []
     best: Money | None = None
     try:
@@ -783,7 +786,7 @@ def _enumerate(
             if best is None or sum(assets) > best:
                 best = sum(assets)
             if any(
-                game.clear(game.move(code, v, i))[game.at[v]] > assets[game.at[v]]
+                game.clear(game.move(code, v, i))[at[v]] > assets[at[v]]
                 for v in _insolvent_firms(game, assets)
                 for i in range(len(game.strategies(v)))
                 if i != game.index(code, v)

@@ -91,6 +91,15 @@ def _parse_weight(value: Any, path: str) -> Weight:
     return weight
 
 
+def _edge_id(key: str) -> int | None:
+    """The edge id ``key`` spells if it is an int's canonical form, else None."""
+    try:
+        edge_id = int(key)
+    except ValueError:
+        return None
+    return edge_id if str(edge_id) == key else None
+
+
 def _parse_strategy(entry: Any, idx: int) -> RankingStrategy:
     """The entry's strategy; one that fails the inline test goes through
     ``_checked_strategy``, which names its first bad field."""
@@ -108,13 +117,9 @@ def _parse_strategy(entry: Any, idx: int) -> RankingStrategy:
             and len(entry) == 4
             and type(raw := entry.get("thresholds")) is dict
             and all(type(tau) is int for tau in raw.values())
+            and None not in (thresholds := {_edge_id(key): tau for key, tau in raw.items()})
         ):
-            try:
-                thresholds = {int(key): tau for key, tau in raw.items()}
-            except ValueError:
-                pass
-            else:
-                return ThresholdRankingStrategy.of(owner, ranking, thresholds)
+            return ThresholdRankingStrategy.of(owner, ranking, thresholds)
     return _checked_strategy(entry, f"strategies[{idx}]")
 
 
@@ -134,9 +139,8 @@ def _checked_strategy(entry: Any, path: str) -> RankingStrategy:
         raw = _require_mapping(obj.get("thresholds"), f"{path}.thresholds")
         thresholds = {}
         for key, value in raw.items():
-            try:
-                edge_id = int(key)
-            except ValueError:
+            edge_id = _edge_id(key)
+            if edge_id is None:
                 raise ParseError(f"{path}.thresholds: key '{key}' is not an edge id")
             thresholds[edge_id] = _require_int(value, f"{path}.thresholds.{key}")
         return ThresholdRankingStrategy.of(owner, ranking, thresholds)

@@ -395,6 +395,7 @@ def _boundary_case(fault: str) -> tuple[FinancialNetwork, dict]:
         "threshold above weight": ThresholdRankingStrategy.of("a", (0, 1), {0: 3, 1: 0}),
         "not a ranking": (0, 1),
         "missing": None,
+        "filed under another firm": EdgeRankingStrategy("b", (2,)),
     }[fault]
     return net, strategies
 
@@ -426,12 +427,14 @@ _ENTRY_POINTS = {
         ("threshold above weight", StrategyError),
         ("not a ranking", ProfileError),
         ("missing", ProfileError),
+        ("filed under another firm", ProfileError),
     ],
 )
 def test_invalid_profiles_are_rejected_at_the_boundary(entry, fault, error):
     """The clearing kernel checks no strategy, so every public entry point
     must reject a bad one before it clears. A missing strategy is an absent
-    key in a profile and a None value in ``fixed``."""
+    key in a profile and a None value in ``fixed``; a strategy filed under
+    another firm is b's strategy given for a."""
     net, strategies = _boundary_case(fault)
     with pytest.raises(error):
         _ENTRY_POINTS[entry](net, strategies)
@@ -440,8 +443,8 @@ def test_invalid_profiles_are_rejected_at_the_boundary(entry, fault, error):
 def test_enumeration_checks_each_given_strategy_once(monkeypatch):
     """A solvable 3DM decision gadget: thousands of profiles are cleared, but
     each fixed strategy is checked once, when the game is set up, and
-    compiled into a schedule once, for the whole game; no clear builds a
-    ``StrategyProfile``. Calls are counted in every module that looks
+    compiled into a schedule once, for the whole game; no (firm, strategy)
+    is compiled twice, and no clear builds a ``StrategyProfile``. Calls are counted in every module that looks
     ``check_strategy`` or ``compile_schedule`` up."""
     calls, compiled = [], []
     for module in (clearing, equilibria):
@@ -485,6 +488,7 @@ def test_enumeration_checks_each_given_strategy_once(monkeypatch):
     assert len(calls) <= len(fixed.strategies)
     assert len(set(calls)) == len(calls)
     given = fixed.strategies
+    assert len(set(compiled)) == len(compiled)  # no (firm, strategy) compiled twice
     fixed_compiles = [v for v, strat in compiled if v in given and strat == given[v]]
     assert sorted(fixed_compiles) == sorted(given)
     assert len(compiled) > len(fixed_compiles)  # the searched firms' options

@@ -275,6 +275,16 @@ PARSE_ERRORS = [
      "strategies[0].thresholds: expected an object, got NoneType"),
     ("threshold key not an edge id", _document(strategies=[_threshold(thresholds={"e0": 1})]),
      "strategies[0].thresholds: key 'e0' is not an edge id"),
+    ("threshold key with a leading zero",
+     _document(strategies=[_threshold(thresholds={"0": 1, "00": 0})]),
+     "strategies[0].thresholds: key '00' is not an edge id"),
+    ("threshold key with a plus sign", _document(strategies=[_threshold(thresholds={"+0": 1})]),
+     "strategies[0].thresholds: key '+0' is not an edge id"),
+    ("threshold key with a space", _document(strategies=[_threshold(thresholds={" 0": 1})]),
+     "strategies[0].thresholds: key ' 0' is not an edge id"),
+    ("threshold key in non-ASCII digits",
+     _document(strategies=[_threshold(thresholds={"\u0660": 1})]),
+     "strategies[0].thresholds: key '\u0660' is not an edge id"),
     ("threshold value not an integer", _document(strategies=[_threshold(thresholds={"0": "1"})]),
      "strategies[0].thresholds.0: expected an integer, got str"),
     ("unknown kind", _document(strategies=[_ranking(kind="pro-rata")]),

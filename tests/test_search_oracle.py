@@ -297,10 +297,10 @@ def test_game_clear_matches_kleene_on_every_searched_profile(seed, space):
     """Random games of 2-6 firms with a random subset of the firms given:
     every profile of the searched firms, cleared from the game's compiled
     schedules, has the assets that the Kleene oracle finds for
-    ``game.profile(code)``, in ``net.nodes`` order. The names put the
-    circulation's source "s" before some firms and after others, so a
-    schedule written at a firm's ``net.nodes`` position instead of its
-    ``circ.index`` shows. Weights are small, firms with more than three
+    ``game.profile(code)``, in ``game.circ.nodes`` order with 0 for the
+    source. The names put the circulation's source "s" before some firms
+    and after others, so a schedule or an asset written at a firm's
+    ``net.nodes`` position instead of its ``circ.index`` shows. Weights are small, firms with more than three
     (threshold space) or four (edge space) out-edges are always given, and
     searched firms are given back until at most 300 profiles remain."""
     rng = random.Random(seed)
@@ -322,7 +322,7 @@ def test_game_clear_matches_kleene_on_every_searched_profile(seed, space):
     game = equilibria._Game(net, SearchBudget(), space, given_part)
     for code in game.codes(searched):
         expected = kleene_clearing(net, game.profile(code)).assets
-        assert game.clear(code) == tuple(expected[v] for v in net.nodes)
+        assert game.clear(code) == tuple(expected.get(v, 0) for v in game.circ.nodes)
 
 
 C12_FORMULA = SatFormula.of(5, [(1, 2, -3), (1, -2, 4), (3, -4), (2, -3, 4, 5)])
