@@ -1,9 +1,13 @@
 """Clearing-state computation.
 
-Three engines. ``top_cycle_increase`` is the workhorse: strongly polynomial,
-exact, for edge/threshold-ranking profiles; ``clear_circulation`` takes each
-node's compiled int schedule (``compile_schedule``) and an external vector,
-not a profile, and repeatedly pushes flow around cycles of "active" edges.
+Four engines. ``clear_circulation`` is the kernel: it takes each node's
+compiled int schedule (``compile_schedule``) and an external vector, not a
+profile, and repeatedly pushes flow around cycles of "active" edges.
+``top_cycle_increase`` wraps it for edge/threshold-ranking profiles:
+strongly polynomial and exact. The searches' payoff table
+(``equilibria._Game``) runs the same kernel block by block, over the
+strongly connected blocks that ``_blocks`` finds, and reuses a block's
+payments whenever its input repeats.
 ``kleene_clearing`` is the lattice-theoretic oracle: Jacobi iteration of the
 asset operator from the top (greatest fixed point) or bottom (least), slow but
 independent, used to cross-check, under an optional budget.

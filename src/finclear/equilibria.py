@@ -52,7 +52,7 @@ from .strategies import (
     ThresholdRankingStrategy,
     behavior_signature,
 )
-from .clearing import _check_ranking, cleared_state, clear_circulation, compile_schedule
+from .clearing import _blocks, _check_ranking, cleared_state, clear_circulation, compile_schedule
 
 
 class SearchSpace(Enum):
@@ -78,18 +78,38 @@ class _Game:
     profile is a mixed-radix int over indices into these tuples, counted
     from the given profile (code 0): v at index i adds (i - home_v) *
     stride_v, home_v being the index of v's given strategy (0 if none). A
-    firm never searched keeps its given strategy and adds no digit. Each
-    new tuple becomes the most significant digit, which leaves stored codes
+    firm never searched keeps its given strategy and adds no digit. Each new
+    tuple becomes the most significant digit, which leaves stored codes
     valid; ``codes`` builds its firms' tuples last one first, so the first
     firm in ``net.nodes`` order is most significant and codes come in
     ``itertools.product`` order. The table holds one asset tuple (indexed
-    like ``circ.nodes``) per code, cleared by ``clear_circulation`` on the
-    first lookup. The meter is charged per strategy candidate as a tuple is
-    built and per table miss: each candidate and each distinct profile is
+    like ``circ.nodes``) per code, cleared on the first lookup; equal tuples
+    are one object. The meter is charged per strategy candidate as a tuple
+    is built and per table miss: each candidate and each distinct profile is
     charged once per game. The given strategies are checked and compiled
     once, here, and each searched option as its tuple is built, its home
     reusing the given schedule, so no clear compiles. Strategies built from
     ``net.out_edges`` need no check, so no clear checks any.
+
+    A clear walks the strongly connected blocks of the liability graph in
+    topological order (``_blocks`` on ``circ`` indices, once per game).
+    Payments move only along edges, so the asset map is block-triangular and
+    monotone, and the greatest fixed point of such a system is the upstream
+    block's greatest fixed point followed by the downstream block's greatest
+    fixed point given it: the whole's upstream part is a fixed point
+    upstream, and the pair built in order is one of the whole. A valid
+    network has no self-loop, so a one-firm block lies on no cycle: the firm
+    holds its external plus its inflow and pays that down its schedule. A
+    larger block's payments on its members' out-slots depend only on its
+    members' schedules and on what each member holds on entry, so they are
+    memoized per game under (the ids of those schedules, those amounts); the
+    entry holds the schedules, so no id in a live key is ever reused. On the
+    first memo miss, one ``clear_circulation`` run clears that block and
+    everything after it, the firms of earlier blocks paying what they hold
+    into their surplus slots, and every later block's entry is filled from
+    that run. A block holding every firm (a ring, the SAT gadget) keeps no
+    memo, as its key would repeat the table's: such a game makes one kernel
+    run per table miss.
     """
 
     def __init__(
@@ -117,13 +137,24 @@ class _Game:
             for v in self.circ.nodes
         ]
         self.options: dict[NodeId, tuple[RankingStrategy, ...]] = {}
-        self.compiled: dict[NodeId, tuple[list, ...]] = {}  # v -> one schedule per option
+        self.compiled: list[tuple[int, tuple[list, ...]]] = []  # (v's index, one schedule per option)
         self.space_size: dict[NodeId, int] = {}
         self.home: dict[NodeId, int | None] = {}
         self.stride: dict[NodeId, int] = {}
         self.radix = 1  # product of the radices of the tuples built so far
         self.offset = 0  # sum of home_v * stride_v: code + offset is plain mixed radix
         self.table: dict[int, tuple[Money, ...]] = {}
+        self.states: dict[tuple[Money, ...], tuple[Money, ...]] = {}  # one tuple per distinct state
+        circ, m = self.circ, len(self.circ.slot)
+        out: list[list[int]] = [[] for _ in circ.nodes]  # base slots by payer
+        for k, i in enumerate(circ.src[:m]):
+            out[i].append(k)
+        blocks = [b for b in _blocks(range(len(out)), lambda i: [circ.dst[k] for k in out[i]]) if out[b[0]]]
+        self.payers = [i for b in blocks for i in b]
+        self.blocks = [  # (members, their base out-slots, memo or None, payers before them)
+            (b, [k for i in b for k in out[i]], {} if 1 < len(b) < len(self.firms) else None, start)
+            for b, start in zip(blocks, itertools.accumulate(map(len, blocks), initial=0))
+        ]
 
     def strategies(self, v: NodeId) -> tuple[RankingStrategy, ...]:
         opts = self.options.get(v)
@@ -138,10 +169,10 @@ class _Game:
             home = sigs.index(sigs[-1])
             if home == len(opts):
                 opts += (given,)
-        self.compiled[v] = tuple(
+        self.compiled.append((self.circ.index[v], tuple(
             self.base[self.circ.index[v]] if i == home else compile_schedule(self.circ, v, s)
             for i, s in enumerate(opts)
-        )
+        )))
         self.options[v], self.home[v], self.stride[v] = opts, home, self.radix
         self.offset += (home or 0) * self.radix
         self.radix *= len(opts)
@@ -178,26 +209,50 @@ class _Game:
 
     def schedules(self, code: int) -> list:
         schedules = self.base.copy()
-        for v, compiled in self.compiled.items():
-            schedules[self.circ.index[v]] = compiled[self.index(code, v)]
+        code += self.offset
+        for at, compiled in self.compiled:  # built, so listed, in stride order
+            code, i = divmod(code, len(compiled))
+            schedules[at] = compiled[i]
         return schedules
 
     def assets(self, schedules: list, external: list[Money]) -> tuple[Money, ...]:
-        """The network's externals plus each node's inflow, indexed like
-        ``circ.nodes``, when ``schedules`` clear with ``external`` paid in."""
-        circ = self.circ
+        """Each node's ``external`` plus its inflow, indexed like ``circ.nodes``, cleared block by block."""
+        circ, m, dst = self.circ, len(self.circ.slot), self.circ.dst
         if None in schedules:  # a firm with out-edges and no strategy: raises ProfileError
             compile_schedule(circ, circ.nodes[schedules.index(None)], None)
-        assets = circ.external.copy()
-        for i, f in zip(circ.dst[: len(circ.slot)], clear_circulation(circ, schedules, external)):
-            assets[i] += f
-        return tuple(assets)
+        held, flows = external.copy(), None  # flows: the kernel's, once a block has missed
+        for members, slots, memo, start in self.blocks:
+            paid = flows
+            if memo is not None:
+                key = (*[id(schedules[i]) for i in members], *[held[i] for i in members])
+                if paid is None:
+                    paid = memo.get(key, (None,))[0]
+            if paid is None and len(members) == 1:
+                x = held[members[0]]
+                for k, length in schedules[members[0]]:
+                    if k >= m or not x:
+                        break
+                    pay = x if x < length else length
+                    held[dst[k]] += pay
+                    x -= pay
+                continue
+            if paid is None:
+                block = schedules.copy()
+                for i in self.payers[:start]:  # cleared: they pay what they hold into surplus
+                    block[i] = [(m + 2 * i, circ.capacity)]
+                paid = flows = clear_circulation(circ, block, held)
+            if memo is not None and paid is flows:  # the entry keeps the ids in its key live
+                memo[key] = flows, [schedules[i] for i in members]
+            for k in slots:
+                held[dst[k]] += paid[k]
+        return tuple(held)
 
     def clear(self, code: int) -> tuple[Money, ...]:
         assets = self.table.get(code)
         if assets is None:
             self.meter.charge()
-            assets = self.table[code] = self.assets(self.schedules(code), self.circ.external)
+            assets = self.assets(self.schedules(code), self.circ.external)
+            assets = self.table[code] = self.states.setdefault(assets, assets)
         return assets
 
 
@@ -456,7 +511,7 @@ class _ExactPayoffs:
         schedules[i] = [(circ.slot[e], 1) for e in key] + [(len(circ.slot) + 2 * i, circ.capacity)]
         external = circ.external.copy()
         external[i] += len(key)
-        value = self._cache[key] = game.assets(schedules, external)[i] - circ.external[i]
+        value = self._cache[key] = game.assets(schedules, external)[i] - external[i]
         return value
 
 

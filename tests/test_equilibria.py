@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -15,6 +16,7 @@ from finclear import (
     UNBOUNDED,
     EdgeRankingStrategy,
     FinancialNetwork,
+    SatFormula,
     SearchBudget,
     SearchSpace,
     StrategyProfile,
@@ -26,6 +28,7 @@ from finclear import (
     enumerate_equilibria,
     gen_edge_spos_family,
     gen_from_3dm,
+    gen_from_sat,
     gen_no_nash,
     gen_poa_unbounded,
     gen_spoa_family,
@@ -493,3 +496,58 @@ def test_enumeration_checks_each_given_strategy_once(monkeypatch):
     assert sorted(fixed_compiles) == sorted(given)
     assert len(compiled) > len(fixed_compiles)  # the searched firms' options
     assert built_in_clear == []
+
+
+def _games_and_kernel_runs(monkeypatch):
+    """Every ``_Game`` built from here on, and a count of the kernel runs made
+    through ``equilibria.clear_circulation`` (the closing check of a subset
+    search runs ``clearing.cleared_state`` and is not counted)."""
+    games, runs = [], [0]
+    init, kernel = equilibria._Game.__init__, equilibria.clear_circulation
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        games.append(self)
+
+    def counted(*args, **kwargs):
+        runs[0] += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(equilibria._Game, "__init__", recorded)
+    monkeypatch.setattr(equilibria, "clear_circulation", counted)
+    return games, runs
+
+
+def test_block_clearing_runs_the_kernel_once_per_distinct_block_input(monkeypatch):
+    """The 3DM decision gadget for one triple has three 9-firm element
+    blocks, each holding 3 searched firms, and one-firm blocks around them.
+    Its enumeration misses the table 512 times, but a block is cleared by
+    the kernel only for an input (its members' schedules and the amounts
+    entering them) that no earlier clear gave it. The meter is charged as
+    before: once per strategy candidate (deg! for each edge-space tuple
+    built) and once per table miss, 546 in all."""
+    games, runs = _games_and_kernel_runs(monkeypatch)
+    net, fixed, _ = gen_from_3dm(ThreeDmInstance.of((1, 2, 3), [(1, 2, 3)]), ThreeDmVariant.DECISION)
+    found = enumerate_equilibria(net, fixed=fixed, budget=SearchBudget(10**7))
+    (game,) = games
+    assert found.exhaustive and found.findings
+    assert sorted(len(members) for members, *_ in game.blocks if len(members) > 1) == [9, 9, 9]
+    misses = len(game.table)
+    candidates = sum(math.factorial(len(net.out_edges(v))) for v in game.options)
+    assert game.meter.used == misses + candidates == 546
+    assert 0 < runs[0] and 10 * runs[0] < misses
+
+
+def test_a_one_block_game_runs_the_kernel_once_per_clear(monkeypatch):
+    """Every firm of the SAT gadget lies on one cycle, so its one block
+    holds every firm and keeps no memo: the subset search of the best
+    response runs the kernel once per subset it charges, as the full clear
+    does."""
+    games, runs = _games_and_kernel_runs(monkeypatch)
+    formula = SatFormula.of(5, [(1, 2, -3), (1, -2, 4), (3, -4), (2, -3, 4, 5)])
+    net, profile, firm = gen_from_sat(formula)
+    br = best_response_exact(net, profile, firm, budget=SearchBudget(max_candidates=10**7))
+    (game,) = games
+    ((members, _, memo, _),) = game.blocks
+    assert len(members) == len(game.firms) and memo is None
+    assert br.exhaustive and runs[0] == br.evaluated == 90

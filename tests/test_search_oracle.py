@@ -40,6 +40,7 @@ from finclear import (
     top_cycle_increase,
     welfare_metrics,
 )
+from finclear.clearing import clear_circulation
 from finclear.core import node_key, total_liabilities
 from finclear.equilibria import strategy_space
 from _samplers import random_profile
@@ -323,6 +324,107 @@ def test_game_clear_matches_kleene_on_every_searched_profile(seed, space):
     for code in game.codes(searched):
         expected = kleene_clearing(net, game.profile(code)).assets
         assert game.clear(code) == tuple(expected.get(v, 0) for v in game.circ.nodes)
+
+
+def _modular_net(rng: random.Random, shape: str) -> FinancialNetwork:
+    """2-7 firms in strongly connected parts joined by edges from earlier
+    parts to later ones. ``"parts"``: 1-4 parts, each a lone firm, a ring of
+    2-3 firms or a ring with a chord; ``"singletons"``: every firm is its
+    own part (a DAG); ``"whole"``: one ring with chords. Weights are 0-3,
+    mostly 1 or 2, so thresholds split edges and unit edges are common."""
+    names = rng.sample(["a", "b", "t", "u", "n1", "n2", "x9", "z"], rng.randint(2, 7))
+    if shape == "whole":
+        parts = [names]
+    elif shape == "singletons":
+        parts = [[v] for v in names]
+    else:
+        cuts = sorted(rng.sample(range(1, len(names)), min(len(names) - 1, rng.randint(0, 3))))
+        parts = [names[i:j] for i, j in zip([0, *cuts], [*cuts, len(names)])]
+    weight = lambda: rng.choice((0, 1, 1, 2, 2, 3))  # noqa: E731
+    edges = []
+    for part in parts:
+        if len(part) > 1:
+            edges += [(v, part[(j + 1) % len(part)], max(1, weight())) for j, v in enumerate(part)]
+            if len(part) > 2 and rng.random() < 0.5:
+                edges.append((*rng.sample(part, 2), weight()))
+    if len(parts) > 1:
+        for _ in range(rng.randint(1, len(names) + 1)):
+            p, q = sorted(rng.sample(range(len(parts)), 2))
+            edges.append((rng.choice(parts[p]), rng.choice(parts[q]), weight()))
+    externals = {v: rng.randint(0, 3) for v in names if rng.random() < 0.6}
+    return FinancialNetwork.build(names, externals, [(i, *e) for i, e in enumerate(edges)])
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(SearchSpace)),
+    st.sampled_from(["parts", "parts", "singletons", "whole"]),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_block_clearing_matches_the_full_kernel_and_kleene(seed, space, shape, all_given):
+    """Block-by-block clearing, with its per-game memo, against the plain
+    kernel on the whole circulation and against the Kleene oracle, on games
+    of strongly connected parts joined into a DAG. Strategies are mostly
+    threshold rankings, whose schedules list a split edge's slot twice.
+    Every profile of the searched firms (a random part of them given, or
+    all) and, with a full profile, every subset that ``_ExactPayoffs``
+    scores for every firm, in one game, so the memo is shared by both.
+
+    On a copy of ``_Game.assets`` whose memo key leaves out the amounts
+    entering a block, this property fails: a block then reuses the payments
+    it made when less or more flowed in from upstream."""
+    rng = random.Random(seed)
+    net = _modular_net(rng, shape)
+    profile = random_profile(rng, net, threshold_p=0.7)
+    firms = [v for v in net.nodes if net.out_edges(v)]
+    big = 3 if space is SearchSpace.THRESHOLD else 4
+    searched = [v for v in firms if rng.random() < 0.7 and len(net.out_edges(v)) <= big]
+    sizes = {v: len(strategy_space(net, v, space)) for v in searched}
+    while math.prod(sizes[v] for v in searched) > 150:
+        searched.pop(rng.randrange(len(searched)))
+    given_part = {
+        v: s for v, s in profile.strategies.items()
+        if all_given or v not in searched or rng.random() < 0.5
+    }
+    game = equilibria._Game(net, SearchBudget(), space, given_part)
+    circ, calls, assets = game.circ, [], game.assets
+
+    def full(schedules, external):
+        held = list(external)
+        for k, f in enumerate(clear_circulation(circ, schedules, external)[: len(circ.slot)]):
+            held[circ.dst[k]] += f
+        return tuple(held)
+
+    def recorded(schedules, external):
+        calls.append((schedules, external, assets(schedules, external)))
+        return calls[-1][2]
+
+    game.assets = recorded
+    for code in game.codes(searched):
+        expected = kleene_clearing(net, game.profile(code)).assets
+        assert game.clear(code) == tuple(expected.get(v, 0) for v in circ.nodes)
+    if all_given:
+        for v in firms:
+            unit = [e.id for e in net.out_edges(v) if e.weight == 1]
+            payoffs = equilibria._ExactPayoffs(game, v)
+            for size in range(len(unit) + 1):
+                for paid in itertools.combinations(unit, size):
+                    inflow = payoffs.inflow(paid)
+                    trimmed = FinancialNetwork.build(
+                        net.nodes,
+                        {**net.external_assets, v: net.external(v) + size},
+                        [e for e in net.edges if e.src != v or e.id in paid],
+                    )
+                    others = {u: s for u, s in profile.strategies.items() if u != v}
+                    if paid:
+                        others[v] = EdgeRankingStrategy(v, paid)
+                    expected = kleene_clearing(trimmed, StrategyProfile.of(others)).assets
+                    assert calls[-1][2] == tuple(expected.get(u, 0) for u in circ.nodes)
+                    assert inflow == expected[v] - trimmed.external(v)
+    assert calls
+    for schedules, external, got in calls:
+        assert got == full(schedules, external)
 
 
 C12_FORMULA = SatFormula.of(5, [(1, 2, -3), (1, -2, 4), (3, -4), (2, -3, 4, 5)])
