@@ -14,7 +14,7 @@ independent, used to cross-check, under an optional budget.
 ``clear_pro_rata`` is the exact clearing of the proportional baseline:
 the fictitious default algorithm, at most n rounds of exact integer
 elimination, where iterating the proportional map would only converge in the
-limit.
+limit; an optional budget caps its eliminations.
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ class ProRataResult:
     iterations: int
 
 
-def clear_pro_rata(net: FinancialNetwork) -> ProRataResult:
+def clear_pro_rata(net: FinancialNetwork, budget: SearchBudget | None = None) -> ProRataResult:
     """Greatest fixed point of the proportional payment map, in exact rationals.
 
     The fictitious default algorithm (Eisenberg & Noe, Mgmt. Sci. 2001;
@@ -329,6 +329,10 @@ def clear_pro_rata(net: FinancialNetwork) -> ProRataResult:
     therefore a nonsingular M-matrix, whose leading minors (Bareiss's
     pivots) are positive. The final check that each firm pays min(assets,
     L) guards all of this and raises ``InconsistentStateError``.
+
+    Each row elimination counts as one candidate against ``budget``, about
+    k^2 / 2 for a block of k firms in each round; when the budget runs out,
+    ``BudgetExhaustedError`` names the cap that did.
     """
     owed = {v: total_liabilities(net, v) for v in net.nodes}
     creditors: dict[NodeId, dict[NodeId, Money]] = {u: {} for u in net.nodes if owed[u] > 0}
@@ -340,6 +344,7 @@ def clear_pro_rata(net: FinancialNetwork) -> ProRataResult:
             surplus[e.dst] += e.weight
     shortfall: dict[NodeId, Fraction] = {}
     loss: dict[NodeId, Fraction] = {}  # what the defaulters' shortfalls cost each creditor
+    meter = _Meter(budget) if budget is not None else None
     rounds = 0
     while True:
         rounds += 1
@@ -348,7 +353,12 @@ def clear_pro_rata(net: FinancialNetwork) -> ProRataResult:
         ]
         if not joining:
             break
-        shortfall, loss = _shortfalls(creditors, owed, surplus, [*shortfall, *joining])
+        try:
+            shortfall, loss = _shortfalls(
+                creditors, owed, surplus, [*shortfall, *joining], meter
+            )
+        except _Exhausted as exc:
+            raise BudgetExhaustedError(f"stopped in round {rounds}: {exc}") from None
 
     paid = {u: 1 - shortfall.get(u, Fraction(0)) for u in creditors}
     flows = {
@@ -366,6 +376,7 @@ def _shortfalls(
     owed: dict[NodeId, Money],
     surplus: dict[NodeId, Money],
     default: list[NodeId],
+    meter: _Meter | None,
 ) -> tuple[dict[NodeId, Fraction], dict[NodeId, Fraction]]:
     """The shortfalls s_v of ``default`` when those firms pay all they hold
     and every other firm pays in full, and what they cost each creditor.
@@ -386,7 +397,7 @@ def _shortfalls(
             for v, w in creditors[u].items():
                 if v in pos:
                     rows[pos[v]][j] -= w
-        solution, det = _bareiss(rows)
+        solution, det = _bareiss(rows, meter)
         for u, y in zip(block, solution):
             s = shortfall[u] = Fraction(y, det * scale)
             for v, w in creditors[u].items():
@@ -437,7 +448,7 @@ def _blocks(
     return blocks
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
+def _bareiss(rows: list[list[int]], meter: _Meter | None) -> tuple[list[int], int]:
     """Solve the square integer system given as augmented rows [A | b] by
     fraction-free (Bareiss) elimination without pivoting. Returns (y, d)
     with A (y / d) = b, d being det A; ``rows`` is consumed. After step t a
@@ -445,9 +456,12 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
     on, so every pivot is a leading principal minor of A, and the caller's
     matrices have positive ones; a pivot that is not, or a
     back-substitution that does not divide exactly, raises
-    ``InconsistentStateError``."""
+    ``InconsistentStateError``. Each step charges ``meter`` one unit per
+    row it eliminates."""
     prev = 1
     for t in range(len(rows)):
+        if meter is not None:
+            meter.charge(len(rows) - t - 1)
         top = rows[t]
         pivot = top[0]
         if pivot <= 0:

@@ -10,6 +10,7 @@ reason, on stderr), 64 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -188,7 +189,11 @@ def _cmd_clear(args) -> int:
     doc = _read_document(args.network)
     net = _validated(doc)
     if args.pro_rata:
-        result = clear_pro_rata(net)
+        try:
+            result = clear_pro_rata(net, budget=_budget(args))
+        except BudgetExhaustedError as exc:
+            print(f"pro-rata: {exc}", file=sys.stderr)
+            return EXIT_EXHAUSTED
         for v in net.nodes:
             print(f"a_{v} = {_fmt(Fraction(result.state.assets[v]))}")
         print(f"revenue = {_fmt(Fraction(sum(result.state.assets[v] for v in net.nodes)))}")
@@ -384,7 +389,12 @@ def _cmd_export_dot(args) -> int:
 # Parser wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on the first ``main`` call and reused
+    by every later one. Reuse carries no state between calls: each
+    ``parse_args`` returns a fresh ``Namespace``, and ``append`` options
+    start from a copy of their default."""
     parser = _Parser(prog="finclear", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
@@ -399,7 +409,9 @@ def _build_parser() -> _Parser:
     clear.add_argument("--profile", help="document supplying the strategy profile")
     clear.add_argument("--pro-rata", action="store_true")
     clear.add_argument("--oracle", choices=["kleene-top", "kleene-bottom"])
-    _add_budget_flags(clear)  # bounds the Kleene oracles, one candidate per iteration
+    # Bounds the Kleene oracles, one candidate per iteration, and --pro-rata,
+    # one candidate per row elimination.
+    _add_budget_flags(clear)
 
     opt_se = with_network(sub.add_parser("opt-se", help="optimal strong equilibrium"))
     opt_se.add_argument("--emit-document", action="store_true",

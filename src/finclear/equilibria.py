@@ -6,7 +6,11 @@ flow: start with every liability paid in full and route the overdrawn firms'
 excess payments, one cost unit per edge, to firms with slack, by primal-dual
 successive shortest paths (Dijkstra for the potentials, then a Dinic max-flow
 on the zero-reduced-cost arcs). At most n + 1 phases run, whatever the
-weights, and ties follow node ids and edge ids only.
+weights, and ties follow node ids and edge ids only. The potentials are fixed
+within a phase, so each phase lists every node's zero-reduced-cost arcs once,
+in adjacency order, and its Dinic search walks only those lists: it meets
+the arcs it can use in the same order as a walk over every arc would, so the
+returned optimum does not depend on the lists.
 
 Best responses, Nash/strong verification, and full enumeration are exact
 desk-scale searches: deciding equilibrium existence and computing best
@@ -319,6 +323,15 @@ def max_value_circulation(circ: CirculationNetwork) -> FlowAssignment:
     ``node_key`` order, real arcs in edge-id order, S/T arcs in node order,
     heap ties broken by node index. In the result every (source, firm) edge
     is saturated and each (firm, source) edge carries the firm's surplus.
+
+    The potentials change only between phases, so whether an arc has
+    reduced cost 0 is fixed for a whole phase; so is it for the arc's
+    reverse, whose reduced cost is the negation. After each potential update
+    every node's zero-reduced-cost arcs are listed once, in adjacency order,
+    and the Dinic search tests only capacity and level on those lists. An
+    arc left off a list would have failed the reduced-cost test at every
+    look, so the search meets the remaining arcs in the same order as a walk
+    over all of them: the same augmenting paths, hence the same optimum.
     """
     net, src, dst = circ.base, circ.src, circ.dst
     n = len(circ.nodes)
@@ -349,29 +362,28 @@ def max_value_circulation(circ: CirculationNetwork) -> FlowAssignment:
     to_shed = sum(b for b in overdraft if b > 0)
 
     pot = [0] * (n + 2)
-
-    def admissible(a: int, u: int) -> bool:
-        return cap[a] > 0 and cost[a] + pot[u] == pot[head[a]]
-
+    heappush, heappop = heapq.heappush, heapq.heappop
     while to_shed > 0:
         dist: list[int | None] = [None] * (n + 2)
         settled = [False] * (n + 2)
         dist[S] = 0
         heap = [(0, S)]
         while heap:
-            d, u = heapq.heappop(heap)
+            d, u = heappop(heap)
             if settled[u]:
                 continue
             settled[u] = True
             if u == T:
                 break
+            du = d + pot[u]
             for a in adj[u]:
                 if cap[a] > 0:
                     v = head[a]
-                    nd = d + cost[a] + pot[u] - pot[v]
-                    if dist[v] is None or nd < dist[v]:
+                    nd = du + cost[a] - pot[v]
+                    dv = dist[v]
+                    if dv is None or nd < dv:
                         dist[v] = nd
-                        heapq.heappush(heap, (nd, v))
+                        heappush(heap, (nd, v))
         if not settled[T]:
             raise InconsistentStateError(
                 f"no residual path drains the remaining overdraft {to_shed}"
@@ -379,6 +391,9 @@ def max_value_circulation(circ: CirculationNetwork) -> FlowAssignment:
         reach = dist[T]
         for v in range(n + 2):
             pot[v] += dist[v] if settled[v] else reach
+        zero = [
+            [a for a in arcs if cost[a] + pot[u] == pot[head[a]]] for u, arcs in enumerate(adj)
+        ]
 
         while True:  # Dinic on the zero-reduced-cost arcs
             level: list[int | None] = [None] * (n + 2)
@@ -386,10 +401,11 @@ def max_value_circulation(circ: CirculationNetwork) -> FlowAssignment:
             queue = deque([S])
             while queue:
                 u = queue.popleft()
-                for a in adj[u]:
+                next_level = level[u] + 1
+                for a in zero[u]:
                     v = head[a]
-                    if level[v] is None and admissible(a, u):
-                        level[v] = level[u] + 1
+                    if level[v] is None and cap[a] > 0:
+                        level[v] = next_level
                         queue.append(v)
             if level[T] is None:
                 break
@@ -406,10 +422,11 @@ def max_value_circulation(circ: CirculationNetwork) -> FlowAssignment:
                     del path[next(k for k, a in enumerate(path) if cap[a] == 0):]
                     u = head[path[-1]] if path else S
                     continue
-                arcs = adj[u]
+                arcs = zero[u]
+                next_level = level[u] + 1
                 while nxt[u] < len(arcs):
                     a = arcs[nxt[u]]
-                    if level[head[a]] == level[u] + 1 and admissible(a, u):
+                    if cap[a] > 0 and level[head[a]] == next_level:
                         break
                     nxt[u] += 1
                 else:

@@ -9,16 +9,22 @@ It fixes the public edge ids that ``finclear.core.CirculationNetwork`` must
 reproduce; ``reference_decompose`` and ``reference_conservation`` walk it
 edge by edge, and the compiled versions must agree with them.
 
+``reference_max_value_circulation`` is the maximum-value circulation with
+no per-phase arc lists, the oracle for the package version.
+
 ``active_segment`` and ``threshold_from_flows`` rebuild an insolvent firm's
 strategy from the flows of a clearing state.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass
 
 from finclear import UNBOUNDED, FinancialNetwork, LiabilityEdge, ThresholdRankingStrategy
 from finclear.core import (
+    CirculationNetwork,
     ClearingState,
     ConservationError,
     CycleDecomposition,
@@ -127,6 +133,125 @@ def reference_decompose(circ: ReferenceCirculation, flows: FlowAssignment) -> Cy
         cycles.append(tuple(e.id for e in cycle))
         mults.append(bottleneck)
     return CycleDecomposition(tuple(cycles), tuple(mults))
+
+
+def reference_max_value_circulation(circ: CirculationNetwork) -> FlowAssignment:
+    """A maximum-value circulation by the primal-dual successive shortest
+    paths of ``finclear.equilibria.max_value_circulation``, in the plainest
+    form: the Dinic search walks every residual arc and tests its reduced
+    cost each time it looks at it. The package version must return the same
+    circulation, edge for edge."""
+    net, src, dst = circ.base, circ.src, circ.dst
+    n = len(circ.nodes)
+    S, T = n, n + 1
+    # Residual arcs in pairs: arc a and its reverse a ^ 1.
+    head: list[int] = []
+    cap: list[Money] = []
+    cost: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(n + 2)]
+
+    def add_arc(u: int, v: int, capacity: Money, unit_cost: int) -> None:
+        adj[u].append(len(head))
+        head.extend((v, u))
+        cap.extend((capacity, 0))
+        cost.extend((unit_cost, -unit_cost))
+        adj[v].append(len(head) - 1)
+
+    overdraft = [-x for x in circ.external]
+    for k, e in enumerate(net.edges):  # arc 2k reduces edge k; its residual is the flow
+        add_arc(src[k], dst[k], e.weight, 1)
+        overdraft[src[k]] += e.weight
+        overdraft[dst[k]] -= e.weight
+    for i, b in enumerate(overdraft):
+        if b > 0:
+            add_arc(S, i, b, 0)
+        elif b < 0:
+            add_arc(i, T, -b, 0)
+    to_shed = sum(b for b in overdraft if b > 0)
+
+    pot = [0] * (n + 2)
+
+    def admissible(a: int, u: int) -> bool:
+        return cap[a] > 0 and cost[a] + pot[u] == pot[head[a]]
+
+    while to_shed > 0:
+        dist: list[int | None] = [None] * (n + 2)
+        settled = [False] * (n + 2)
+        dist[S] = 0
+        heap = [(0, S)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if settled[u]:
+                continue
+            settled[u] = True
+            if u == T:
+                break
+            for a in adj[u]:
+                if cap[a] > 0:
+                    v = head[a]
+                    nd = d + cost[a] + pot[u] - pot[v]
+                    if dist[v] is None or nd < dist[v]:
+                        dist[v] = nd
+                        heapq.heappush(heap, (nd, v))
+        if not settled[T]:
+            raise InconsistentStateError(
+                f"no residual path drains the remaining overdraft {to_shed}"
+            )
+        reach = dist[T]
+        for v in range(n + 2):
+            pot[v] += dist[v] if settled[v] else reach
+
+        while True:  # Dinic on the zero-reduced-cost arcs
+            level: list[int | None] = [None] * (n + 2)
+            level[S] = 0
+            queue = deque([S])
+            while queue:
+                u = queue.popleft()
+                for a in adj[u]:
+                    v = head[a]
+                    if level[v] is None and admissible(a, u):
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            if level[T] is None:
+                break
+            nxt = [0] * (n + 2)
+            path: list[int] = []
+            u = S
+            while True:
+                if u == T:
+                    push = min(cap[a] for a in path)
+                    for a in path:
+                        cap[a] -= push
+                        cap[a ^ 1] += push
+                    to_shed -= push
+                    del path[next(k for k, a in enumerate(path) if cap[a] == 0):]
+                    u = head[path[-1]] if path else S
+                    continue
+                arcs = adj[u]
+                while nxt[u] < len(arcs):
+                    a = arcs[nxt[u]]
+                    if level[head[a]] == level[u] + 1 and admissible(a, u):
+                        break
+                    nxt[u] += 1
+                else:
+                    if u == S:
+                        break
+                    a = path.pop()
+                    u = head[a ^ 1]
+                    nxt[u] += 1
+                    continue
+                path.append(a)
+                u = head[a]
+
+    real = cap[: 2 * len(net.edges) : 2]
+    surplus = circ.external.copy()
+    for u, v, f in zip(src, dst, real):
+        surplus[u] -= f
+        surplus[v] += f
+    for v, x in zip(circ.nodes, surplus):
+        if x < 0:
+            raise InconsistentStateError(f"firm {v!r} pays more than it holds")
+    return FlowAssignment(circ.circulation(real, surplus))
 
 
 @dataclass(frozen=True)

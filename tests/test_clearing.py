@@ -23,7 +23,7 @@ from finclear import (
 from finclear import clearing, cli
 from finclear.clearing import BudgetExhaustedError, ProfileError
 from finclear.core import InconsistentStateError, asset_ceiling
-from finclear.io import load_network
+from finclear.io import load_network, render_document
 from _samplers import pro_rata_payment, random_net, random_profile, with_external
 
 
@@ -208,6 +208,35 @@ class TestProRata:
             line.split(" = ")[0][2:]: Fraction(line.split(" = ")[1]) for line in out[:-2]
         }
         assert printed == _pro_rata_map(net, printed)
+
+    def test_budget_stops_a_large_ring_with_exit_3(self, tmp_path, capsys):
+        """A ring of 2000 firms plus 4000 random edges, shaped like the
+        smallest ``clear-large`` benchmark document: with no cap, eliminating
+        its defaulters' blocks had not finished after two minutes. Each row
+        elimination is one candidate, so a cap of 1000 stops it at once,
+        with no state printed and the reason on stderr."""
+        rng = random.Random("pro-rata budget")
+        n = 2000
+        nodes = [f"f{i}" for i in range(n)]
+        pairs = [(nodes[i], nodes[(i + 1) % n]) for i in range(n)]
+        for _ in range(2 * n):
+            a, b = rng.sample(nodes, 2)
+            pairs.append((a, b))
+        net = FinancialNetwork.build(
+            nodes,
+            {v: rng.randint(1, 100) for v in nodes},
+            [(i, a, b, rng.randint(1, 1000)) for i, (a, b) in enumerate(pairs)],
+        )
+        path = tmp_path / "ring.json"
+        path.write_text(render_document(net, None), encoding="utf-8")
+        started = time.perf_counter()
+        code = cli.main(["clear", "--pro-rata", "--max-candidates", "1000", str(path)])
+        elapsed = time.perf_counter() - started
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith("pro-rata: stopped in round ")
+        assert err.endswith(": candidate cap of 1000 reached\n")
+        assert elapsed < 10.0
 
 
 def _pro_rata_map(net: FinancialNetwork, assets) -> dict:

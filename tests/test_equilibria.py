@@ -51,7 +51,7 @@ from finclear import clearing, equilibria
 from finclear.clearing import ProfileError
 from finclear.equilibria import max_value_circulation
 from finclear.strategies import StrategyError
-from _reference import reference_circulation
+from _reference import reference_circulation, reference_max_value_circulation
 from _samplers import random_net, random_profile, with_external
 
 
@@ -369,6 +369,15 @@ def test_max_value_circulation_matches_network_simplex(net):
     check_conservation(circ, fstar)
     for e in graph.source_out:
         assert fstar.get(e.id) == e.weight
+
+
+@given(_weighted_networks())
+@settings(max_examples=200, deadline=None)
+def test_max_value_circulation_returns_the_reference_optimum(net):
+    """Not only the value: ``opt-se`` prints the thresholds of the optimum
+    that is returned, so the per-phase arc lists must leave it unchanged."""
+    circ = build_circulation_network(net)
+    assert max_value_circulation(circ).flow == reference_max_value_circulation(circ).flow
 
 
 @given(st.integers(0, 2**32 - 1))

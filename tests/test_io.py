@@ -583,6 +583,52 @@ def test_clear_validates_once_and_checks_each_strategy_once(tmp_path, monkeypatc
     assert sorted(strat.owner for strat, _ in checks) == sorted(profile.strategies)
 
 
+def test_main_builds_one_parser_and_carries_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    """``main`` builds its parser on the first call and reuses it: a repeated
+    ``append`` option, a budget flag, or a usage error leaves nothing behind
+    for the next call."""
+    budgets = []
+
+    def recorded(args, _original=cli._budget):
+        budgets.append(_original(args))
+        return budgets[-1]
+
+    monkeypatch.setattr(cli, "_budget", recorded)
+
+    def run(*argv: str) -> tuple[int, str, str]:
+        code = cli.main(list(argv))
+        return (code, *capsys.readouterr())
+
+    cli._build_parser.cache_clear()
+    first_error = run("check", "--space", "edge")  # neither --nash nor --strong
+    assert first_error[0] == 64 and first_error[1] == ""
+    assert first_error[2].startswith("usage: finclear check")
+
+    three_dm = ("gen", "3dm", "--elements", "1,2,3,4,5,6",
+                "--triple", "1,2,3", "--triple", "4,5,6", "--variant", "decision")
+    sat = ("gen", "sat", "--vars", "2", "--clause", "1,-2", "--clause", "2")
+    normal = {}
+    for argv in (three_dm, sat):
+        normal[argv] = run(*argv)
+        assert normal[argv][0] == 0 and normal[argv][1]
+        assert run(*argv) == normal[argv]
+
+    path = tmp_path / "no-nash.json"
+    path.write_text(run("gen", "no-nash")[1], encoding="utf-8")
+    capped = run("enumerate", "--max-candidates", "5", str(path))
+    assert capped[0] == 3
+    uncapped = run("enumerate", str(path))
+    assert uncapped[0] == 0 and uncapped[1].startswith("0 equilibria")
+    assert [b.max_candidates for b in budgets] == [5, 1_000_000]
+
+    assert run("gen", "spoa")[0] == 64  # no --d
+    assert run(*sat) == normal[sat]
+    assert run("gen", "3dm", "--elements", "1,2,3")[0] == 64  # no --variant
+    assert run(*three_dm) == normal[three_dm]
+    assert run("check", "--space", "edge") == first_error
+    assert cli._build_parser.cache_info().misses == 1
+
+
 C = {"id": "c", "external": 0}
 AC = _edge(id=1, dst="c", weight=2)
 
