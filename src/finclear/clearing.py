@@ -49,7 +49,7 @@ from .strategies import (
     StrategyProfile,
     ThresholdRankingStrategy,
     check_strategy,
-    payment_segments,
+    compiled_segments,
     payment_vector,
 )
 
@@ -69,9 +69,8 @@ class KleeneStart(Enum):
 
 def _check_ranking_profile(net: FinancialNetwork, profile: StrategyProfile) -> None:
     """Raise unless every firm with out-edges has a well-formed ranking strategy."""
-    for v in net.nodes:
-        if net.out_edges(v):
-            _check_ranking(net, v, profile.strategy_for(v))
+    for v in net.debtors():
+        _check_ranking(net, v, profile.strategy_for(v))
 
 
 def _check_ranking(net: FinancialNetwork, v: NodeId, strat) -> None:
@@ -109,16 +108,18 @@ def top_cycle_increase(
 def compile_schedule(
     circ: CirculationNetwork, v: NodeId, strat: RankingStrategy | None
 ) -> list[tuple[int, Money]]:
-    """v's payment schedule in ``circ``'s slots: its strategy's ``payment_segments``
-    as (slot, length), then (its surplus slot, ``circ.capacity``); the source's
-    is empty. Raises ``ProfileError`` for a firm with out-edges and no strategy."""
+    """v's payment schedule in ``circ``'s slots: its strategy's
+    ``compiled_segments`` (none for a firm without out-edges), then (its
+    surplus slot, ``circ.capacity``); the source's is empty. Raises
+    ``ProfileError`` for a firm with out-edges and no strategy."""
     if v == circ.source:
         return []
-    net, slot = circ.base, circ.slot
-    if strat is None and net.out_edges(v):
+    surplus = (len(circ.slot) + 2 * circ.index[v], circ.capacity)
+    if not circ.base.out_ids(v):
+        return [surplus]
+    if strat is None:
         raise ProfileError(f"no strategy for firm {v!r} with outgoing edges")
-    segments = payment_segments(strat, net) if net.out_edges(v) else ()
-    return [(slot[e], x) for e, x in segments] + [(len(slot) + 2 * circ.index[v], circ.capacity)]
+    return [*compiled_segments(strat, circ.base), surplus]
 
 
 def cleared_state(
@@ -126,7 +127,7 @@ def cleared_state(
 ) -> ClearingState:
     """The ``ClearingState`` of compiled ``schedules`` at ``circ``'s externals."""
     flows = clear_circulation(circ, schedules, circ.external, cycle_rng=cycle_rng)
-    return _clearing_state(circ.base, dict(zip(circ.ids, flows[: len(circ.slot)])))
+    return _clearing_state(circ.base, flows[: len(circ.slot)])
 
 
 def clear_circulation(
@@ -218,15 +219,16 @@ def clear_circulation(
 
 
 def _clearing_state(
-    net: FinancialNetwork, flows: dict[EdgeId, Money], zero: Money | Fraction = 0
+    net: FinancialNetwork, real: list[Money], zero: Money | Fraction = 0
 ) -> ClearingState:
-    """The state whose flows are ``flows``: inflows, then assets. ``flows``
-    covers every edge; ``zero`` sets the number type of the sums."""
-    internal = {v: zero for v in net.nodes}
-    for e in net.edges:
-        internal[e.dst] += flows[e.id]
-    assets = {v: net.external(v) + internal[v] for v in net.nodes}
-    return ClearingState(assets, internal, FlowAssignment(flows))
+    """The state whose flows are ``real``, in slot order: inflows, then
+    assets. ``zero`` sets the number type of the sums."""
+    inflow = [zero] * len(net.names)
+    for v, f in zip(net.dst, real):
+        inflow[v] += f
+    internal = dict(zip(net.nodes, inflow))
+    assets = {v: net.external(v) + x for v, x in internal.items()}
+    return ClearingState(assets, internal, FlowAssignment(dict(zip(net.ids, real))))
 
 
 def kleene_clearing(
@@ -253,7 +255,7 @@ def kleene_clearing(
     top = {v: asset_ceiling(net, v) for v in net.nodes}
     assets = top if start is KleeneStart.TOP else {v: 0 for v in net.nodes}
     cap = sum(top.values()) + 1
-    payers = [profile.strategy_for(v) for v in net.nodes if net.out_edges(v)]
+    payers = [profile.strategy_for(v) for v in net.debtors()]
     meter = _Meter(budget) if budget is not None else None
     iterations = 0
     while True:
@@ -270,7 +272,7 @@ def kleene_clearing(
         flows: dict[EdgeId, Money] = {}
         for strat in payers:
             flows.update(payment_vector(strat, net, assets[strat.owner]))
-        state = _clearing_state(net, flows)
+        state = _clearing_state(net, [flows[e] for e in net.ids])
         if state.assets == assets:
             return state
         assets = state.assets
@@ -361,9 +363,7 @@ def clear_pro_rata(net: FinancialNetwork, budget: SearchBudget | None = None) ->
             raise BudgetExhaustedError(f"stopped in round {rounds}: {exc}") from None
 
     paid = {u: 1 - shortfall.get(u, Fraction(0)) for u in creditors}
-    flows = {
-        e.id: e.weight * paid[e.src] if e.src in paid else Fraction(0) for e in net.edges
-    }
+    flows = [e.weight * paid[e.src] if e.src in paid else Fraction(0) for e in net.edges]
     state = _clearing_state(net, flows, Fraction(0))
     for v, a in state.assets.items():
         if a < 0 or (v in paid and owed[v] * paid[v] != min(a, owed[v])):

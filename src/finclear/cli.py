@@ -112,7 +112,7 @@ def _full_profile(
     net: FinancialNetwork, doc_profile: StrategyProfile, override: StrategyProfile | None
 ) -> StrategyProfile:
     profile = override if override is not None else doc_profile
-    missing = [v for v in net.nodes if net.out_edges(v) and v not in profile.strategies]
+    missing = [v for v in net.debtors() if v not in profile.strategies]
     if missing:
         raise _InputError(
             "no strategy for firm(s): " + ", ".join(missing)
@@ -247,10 +247,8 @@ def _cmd_best_response(args) -> int:
     if firm not in net.nodes:
         raise _InputError(f"unknown firm '{firm}'")
     profile = doc.profile
-    if firm not in profile.strategies and net.out_edges(firm):
-        default = EdgeRankingStrategy(
-            firm, tuple(e.id for e in net.out_edges(firm))
-        )
+    if firm not in profile.strategies and net.out_ids(firm):
+        default = EdgeRankingStrategy(firm, tuple(net.out_ids(firm)))
         profile = profile.replace(default)
     profile = _full_profile(net, profile, None)
     result = best_response_exact(

@@ -2,18 +2,27 @@
 
 A network is a directed multigraph of firms. Each edge carries a non-negative
 integer liability weight; each firm holds non-negative integer external assets.
-``build_circulation_network`` closes a valid network into a circulation with a
-source and compiles it once into the int arrays of ``CirculationNetwork``,
-which the clearing kernel, the maximum-value circulation, the cycle bound,
-``check_conservation`` and ``decompose_circulation`` all read.
+``FinancialNetwork`` is one representation: the node order, the externals and
+the edges as id, source, target and weight arrays in id order, with a
+compressed out-adjacency. The loader and ``FinancialNetwork.build`` fill it,
+validation, rendering and clearing read the arrays, and the ``LiabilityEdge``
+views are built on first use for the searches, pro-rata clearing and the
+generators. ``build_circulation_network`` closes a valid network into a
+circulation with a source and compiles it once into the int arrays of
+``CirculationNetwork``, which the clearing kernel, the maximum-value
+circulation, the cycle bound, ``check_conservation`` and
+``decompose_circulation`` all read.
 All arithmetic in this package is exact (ints, or ``fractions.Fraction`` for
 pro-rata clearing); nothing is ever represented in floating point.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import time
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter
 from typing import Iterable, Mapping, Union
 
@@ -104,25 +113,53 @@ class LiabilityEdge:
         return isinstance(self.weight, UnboundedType)
 
 
-@dataclass(frozen=True)
 class FinancialNetwork:
     """Immutable directed multigraph of firms with liabilities and external assets.
 
-    Construction never validates; ``validate_network`` reports violations so
-    that malformed inputs can be diagnosed rather than rejected blindly, and
-    keeps its report in ``_report``. Adjacency is precomputed once (edges
-    sorted by id, nodes by ``node_key``).
+    One representation, compiled once: the loader and ``build`` fill it and
+    every engine reads its arrays. ``nodes`` are the declared firms in
+    ``node_key`` order; ``names`` adds each undeclared edge endpoint, in order
+    of first appearance, and ``index`` numbers ``names``. Edge slot k is the
+    k-th edge by ascending id (stably): ``ids[k]``, ``src[k]`` and ``dst[k]``
+    (``names`` indices) and ``weights[k]``; ``slot`` maps an id to its last
+    slot. The arrays are tuples and assignment is rejected, as the caches
+    assume that nothing changes: the out-adjacency (``out_ids``) and the
+    ``LiabilityEdge`` views (``edges``, ``out_edges``, ``in_edges``,
+    ``edge``) are built on first use. Construction never validates;
+    ``validate_network`` reports violations and keeps its report in
+    ``_report``.
     """
 
-    nodes: tuple[NodeId, ...]
-    external_assets: Mapping[NodeId, Money]
-    edges: tuple[LiabilityEdge, ...]
-    _out: dict = field(init=False, repr=False, compare=False)
-    _in: dict = field(init=False, repr=False, compare=False)
-    _by_id: dict = field(init=False, repr=False, compare=False)
-    _report: ValidationReport | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("nodes", "external_assets", "names", "index", "ids", "src", "dst", "weights",
+                 "slot", "_out", "_views", "_report")
+
+    def __init__(self, nodes: tuple[NodeId, ...], external_assets: dict[NodeId, Money],
+                 ids: list[EdgeId], srcs: list[NodeId], dsts: list[NodeId], weights: list[Weight]) -> None:
+        """``nodes`` unique and in ``node_key`` order; the edge columns in any order."""
+        if any(map(operator.gt, ids, ids[1:])):
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            ids, srcs, dsts, weights = ([col[k] for k in order] for col in (ids, srcs, dsts, weights))
+        index, names = {v: i for i, v in enumerate(nodes)}, nodes
+        try:
+            src, dst = tuple(map(index.__getitem__, srcs)), tuple(map(index.__getitem__, dsts))
+        except KeyError:  # an undeclared endpoint: number it after the declared nodes
+            grown, src, dst = list(nodes), [], []
+            for ends in zip(srcs, dsts):
+                for name, col in zip(ends, (src, dst)):
+                    col.append(index.setdefault(name, len(grown)))
+                    if col[-1] == len(grown):
+                        grown.append(name)
+            names, src, dst = tuple(grown), tuple(src), tuple(dst)
+        ids = tuple(ids)
+        values = (nodes, external_assets, names, index, ids, src, dst, tuple(weights),
+                  dict(zip(ids, range(len(ids)))), None, None, None)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
     @staticmethod
     def build(
@@ -142,38 +179,81 @@ class FinancialNetwork:
             if v not in externals:
                 externals[v] = amount
         edge_objs = [e if isinstance(e, LiabilityEdge) else LiabilityEdge(*e) for e in edges]
-        edge_objs.sort(key=attrgetter("id"))
-        return FinancialNetwork(node_tuple, externals, tuple(edge_objs))
+        columns = [[getattr(e, field) for e in edge_objs] for field in ("id", "src", "dst", "weight")]
+        return FinancialNetwork(node_tuple, externals, *columns)
 
-    def __post_init__(self) -> None:
-        out: dict[NodeId, list[LiabilityEdge]] = {v: [] for v in self.nodes}
-        inc: dict[NodeId, list[LiabilityEdge]] = {v: [] for v in self.nodes}
-        by_id: dict[EdgeId, LiabilityEdge] = {}
-        for e in self.edges:
-            by_id[e.id] = e
-            out.setdefault(e.src, []).append(e)
-            inc.setdefault(e.dst, []).append(e)
-        object.__setattr__(self, "_out", {v: tuple(es) for v, es in out.items()})
-        object.__setattr__(self, "_in", {v: tuple(es) for v, es in inc.items()})
-        object.__setattr__(self, "_by_id", by_id)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = attrgetter("nodes", "external_assets", "names", "ids", "weights", "src", "dst")
+        return fields(self) == fields(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"FinancialNetwork(nodes={self.nodes!r}, "
+                f"external_assets={self.external_assets!r}, edges={self.edges!r})")
+
+    def _adjacency(self) -> tuple[list[EdgeId], list[int]]:
+        """Every edge id grouped by payer, ascending within a group, and
+        where the group of each ``names`` index starts."""
+        if self._out is None:
+            degree = [0] * (len(self.names) + 1)
+            for i in self.src:
+                degree[i + 1] += 1
+            order = sorted(range(len(self.ids)), key=self.src.__getitem__)
+            adjacency = [self.ids[k] for k in order], list(itertools.accumulate(degree))
+            object.__setattr__(self, "_out", adjacency)
+        return self._out
+
+    def out_ids(self, v: NodeId) -> list[EdgeId]:
+        """The ids of v's out-edges, ascending. Raises ``UnknownNodeError``
+        where ``out_edges`` does: v is neither declared nor an edge's source."""
+        by_payer, start = self._out or self._adjacency()
+        i = self.index.get(v)
+        if i is None or (i >= len(self.nodes) and start[i] == start[i + 1]):
+            raise UnknownNodeError(f"unknown node {v!r}")
+        return by_payer[start[i] : start[i + 1]]
+
+    def debtors(self) -> list[NodeId]:
+        """The declared firms with at least one out-edge, in node order."""
+        start = self._adjacency()[1]
+        return [v for v, a, b in zip(self.nodes, start, start[1:]) if a < b]
+
+    def _edge_views(self) -> tuple:
+        """(edges, out-edges by node, in-edges by node, edge by id), as
+        ``LiabilityEdge``s built on first use."""
+        if self._views is None:
+            edges = tuple(map(LiabilityEdge, self.ids, map(self.names.__getitem__, self.src),
+                              map(self.names.__getitem__, self.dst), self.weights))
+            out: dict[NodeId, list[LiabilityEdge]] = {v: [] for v in self.nodes}
+            into: dict[NodeId, list[LiabilityEdge]] = {v: [] for v in self.nodes}
+            for e in edges:
+                out.setdefault(e.src, []).append(e)
+                into.setdefault(e.dst, []).append(e)
+            views = (edges, *({v: tuple(es) for v, es in adj.items()} for adj in (out, into)),
+                     dict(zip(self.ids, edges)))
+            object.__setattr__(self, "_views", views)
+        return self._views
+
+    def _lookup(self, view: int, key, unknown: str):
+        try:
+            return self._edge_views()[view][key]
+        except KeyError:
+            raise UnknownNodeError(unknown.format(key)) from None
+
+    @property
+    def edges(self) -> tuple[LiabilityEdge, ...]:
+        return self._edge_views()[0]
 
     def out_edges(self, v: NodeId) -> tuple[LiabilityEdge, ...]:
-        try:
-            return self._out[v]
-        except KeyError:
-            raise UnknownNodeError(f"unknown node {v!r}") from None
+        return self._lookup(1, v, "unknown node {!r}")
 
     def in_edges(self, v: NodeId) -> tuple[LiabilityEdge, ...]:
-        try:
-            return self._in[v]
-        except KeyError:
-            raise UnknownNodeError(f"unknown node {v!r}") from None
+        return self._lookup(2, v, "unknown node {!r}")
 
     def edge(self, edge_id: EdgeId) -> LiabilityEdge:
-        try:
-            return self._by_id[edge_id]
-        except KeyError:
-            raise UnknownNodeError(f"unknown edge id {edge_id}") from None
+        return self._lookup(3, edge_id, "unknown edge id {}")
 
     def external(self, v: NodeId) -> Money:
         return self.external_assets.get(v, 0)
@@ -271,21 +351,22 @@ def _violations(net: FinancialNetwork) -> ValidationReport:
             found.append(Violation("unknown-external-node", f"external assets for undeclared node {v!r}"))
         if isinstance(amount, int) and amount < 0:
             found.append(Violation("negative-external", f"node {v!r} has external assets {amount}"))
+    n, names = len(net.nodes), net.names
     seen_ids: set[EdgeId] = set()
-    for e in net.edges:
-        if e.id in seen_ids:
-            found.append(Violation("duplicate-edge-id", f"edge id {e.id} appears more than once"))
-        seen_ids.add(e.id)
-        if e.src not in declared:
-            found.append(Violation("dangling-endpoint", f"edge {e.id} source {e.src!r} is not declared"))
-        if e.dst not in declared:
-            found.append(Violation("dangling-endpoint", f"edge {e.id} target {e.dst!r} is not declared"))
-        if e.src == e.dst:
-            found.append(Violation("self-loop", f"edge {e.id} loops on {e.src!r}"))
-        if e.is_unbounded():
-            found.append(Violation("unbounded-weight", f"edge {e.id} has unbounded weight outside a circulation network"))
-        elif e.weight < 0:
-            found.append(Violation("negative-weight", f"edge {e.id} has weight {e.weight}"))
+    for e, u, v, w in zip(net.ids, net.src, net.dst, net.weights):
+        if e in seen_ids:
+            found.append(Violation("duplicate-edge-id", f"edge id {e} appears more than once"))
+        seen_ids.add(e)
+        if u >= n:
+            found.append(Violation("dangling-endpoint", f"edge {e} source {names[u]!r} is not declared"))
+        if v >= n:
+            found.append(Violation("dangling-endpoint", f"edge {e} target {names[v]!r} is not declared"))
+        if u == v:
+            found.append(Violation("self-loop", f"edge {e} loops on {names[u]!r}"))
+        if w is UNBOUNDED:
+            found.append(Violation("unbounded-weight", f"edge {e} has unbounded weight outside a circulation network"))
+        elif w < 0:
+            found.append(Violation("negative-weight", f"edge {e} has weight {w}"))
     return ValidationReport(tuple(found))
 
 
@@ -313,16 +394,16 @@ class CirculationNetwork:
     def __init__(self, net: FinancialNetwork) -> None:
         self.base = net
         self.source = source = fresh_source_id(net.nodes)
-        self.nodes = tuple(sorted_nodes((*net.nodes, source)))
-        self.index = index = {v: i for i, v in enumerate(self.nodes)}
-        self.slot = {e.id: k for k, e in enumerate(net.edges)}
-        self.src = [index[e.src] for e in net.edges]
-        self.dst = [index[e.dst] for e in net.edges]
-        self.ids = [e.id for e in net.edges]
-        self.external = [net.external(v) for v in self.nodes]
-        self.capacity = 1 + sum(self.external) + sum(e.weight for e in net.edges)
-        s = index[source]
-        surplus_id = max((e.id for e in net.edges), default=-1) + 1
+        s = bisect_left(net.nodes, node_key(source), key=node_key)
+        self.nodes = (*net.nodes[:s], source, *net.nodes[s:])
+        self.index = {v: i for i, v in enumerate(self.nodes)}
+        self.slot = net.slot
+        self.src = [i + (i >= s) for i in net.src]  # the source takes index s
+        self.dst = [i + (i >= s) for i in net.dst]
+        self.ids = list(net.ids)
+        self.external = [net.external_assets.get(v, 0) for v in self.nodes]
+        self.capacity = 1 + sum(self.external) + sum(net.weights)
+        surplus_id = net.ids[-1] + 1 if net.ids else 0
         source_id = surplus_id + len(net.nodes)
         for i, x in enumerate(self.external):
             self.src += (i, s)
@@ -393,14 +474,13 @@ class ClearingState:
 def check_clearing_consistency(net: FinancialNetwork, cs: ClearingState) -> None:
     """Raise unless the state satisfies the asset identities and edge capacities."""
     flow = cs.flows.flow
-    inflows = dict.fromkeys(net.nodes, 0)
-    for e in net.edges:
-        f = flow.get(e.id, 0)
-        if f < 0 or (not e.is_unbounded() and f > e.weight):
-            raise InconsistentStateError(f"flow {f} outside [0, {e.weight}] on edge {e.id}")
-        if e.dst in inflows:
-            inflows[e.dst] += f
-    for v, inflow in inflows.items():
+    inflows = [0] * len(net.names)
+    for e, v, w in zip(net.ids, net.dst, net.weights):
+        f = flow.get(e, 0)
+        if f < 0 or (w is not UNBOUNDED and f > w):
+            raise InconsistentStateError(f"flow {f} outside [0, {w}] on edge {e}")
+        inflows[v] += f
+    for v, inflow in zip(net.nodes, inflows):
         if cs.internal_assets.get(v, 0) != inflow:
             raise InconsistentStateError(
                 f"internal assets of {v!r} are {cs.internal_assets.get(v, 0)}, inflow is {inflow}"

@@ -130,7 +130,7 @@ class _Game:
         if isinstance(given, StrategyProfile):
             given = given.strategies
         self.given = dict(given or {})
-        self.firms = [v for v in net.nodes if net.out_edges(v)]
+        self.firms = net.debtors()
         for v in self.firms:
             if v in self.given:
                 _check_ranking(net, v, self.given[v])
@@ -274,12 +274,28 @@ def strategy_space(
     clearing states depend on strategies only through that, so dropping
     behavioral duplicates never changes a verdict, and keeping first
     occurrences preserves canonical tie-breaking.
+
+    Two out-edges with the same creditor and the same weight are
+    interchangeable, and a permutation that ranks such a pair against
+    ascending id order is skipped uncharged. It changes no kept strategy and
+    no order: let e < f be interchangeable and let p rank f before e.
+    Swapping e and f in p, and their thresholds with them, gives a candidate
+    with the same segment lengths to the same creditors, so the same
+    behavior; and its permutation is smaller in lexicographic order (the
+    first place where the two differ holds e instead of f), so it comes
+    earlier. The first candidate of every behavior therefore ranks every
+    interchangeable pair in ascending order, and only later duplicates are
+    skipped.
     """
-    out_ids = sorted(e.id for e in net.out_edges(v))
+    out_ids = net.out_ids(v)
     if not out_ids:
         return ()
 
-    perms = itertools.permutations(out_ids)
+    kind = {e: (net.edge(e).dst, net.edge(e).weight) for e in out_ids}
+    perms: Iterable[tuple[EdgeId, ...]] = itertools.permutations(out_ids)
+    if len(set(kind.values())) < len(out_ids):  # some out-edges are interchangeable
+        perms = (p for p in perms if all(
+            a < b or kind[a] != kind[b] for a, b in itertools.combinations(p, 2)))
     if space is SearchSpace.EDGE:
         candidates: Iterable[RankingStrategy] = (EdgeRankingStrategy(v, p) for p in perms)
     else:
@@ -350,10 +366,10 @@ def max_value_circulation(circ: CirculationNetwork) -> FlowAssignment:
         adj[v].append(len(head) - 1)
 
     overdraft = [-x for x in circ.external]
-    for k, e in enumerate(net.edges):  # arc 2k reduces edge k; its residual is the flow
-        add_arc(src[k], dst[k], e.weight, 1)
-        overdraft[src[k]] += e.weight
-        overdraft[dst[k]] -= e.weight
+    for k, w in enumerate(net.weights):  # arc 2k reduces edge k; its residual is the flow
+        add_arc(src[k], dst[k], w, 1)
+        overdraft[src[k]] += w
+        overdraft[dst[k]] -= w
     for i, b in enumerate(overdraft):
         if b > 0:
             add_arc(S, i, b, 0)
@@ -439,7 +455,7 @@ def max_value_circulation(circ: CirculationNetwork) -> FlowAssignment:
                 path.append(a)
                 u = head[a]
 
-    real = cap[: 2 * len(net.edges) : 2]
+    real = cap[: 2 * len(net.ids) : 2]
     surplus = circ.external.copy()
     for u, v, f in zip(src, dst, real):
         surplus[u] -= f
@@ -469,18 +485,17 @@ def optimal_strong_equilibrium(net: FinancialNetwork) -> OptimalStrongEquilibriu
     circ = build_circulation_network(net)
     fstar = max_value_circulation(circ)
     strategies: dict[NodeId, RankingStrategy] = {}
-    for v in net.nodes:
-        out_ids = sorted(e.id for e in net.out_edges(v))
-        if out_ids:
-            strategies[v] = ThresholdRankingStrategy.of(
-                v, tuple(out_ids), {e: fstar.get(e) for e in out_ids}
-            )
+    for v in net.debtors():
+        out_ids = net.out_ids(v)
+        strategies[v] = ThresholdRankingStrategy.of(
+            v, tuple(out_ids), {e: fstar.get(e) for e in out_ids}
+        )
     profile = StrategyProfile.of(strategies)
     state = cleared_state(circ, [compile_schedule(circ, v, strategies.get(v)) for v in circ.nodes])
-    for e in net.edges:
-        if state.flows.get(e.id) != fstar.get(e.id):
+    for e in net.ids:
+        if state.flows.get(e) != fstar.get(e):
             raise InconsistentStateError(
-                f"clearing flow on edge {e.id} deviates from the optimal circulation"
+                f"clearing flow on edge {e} deviates from the optimal circulation"
             )
     rev = sum(state.assets[v] for v in net.nodes)
     if rev != fstar.total() - net.total_external():
@@ -552,7 +567,7 @@ def _best_response_unit_subsets(
     """
     net = game.net
     ext = net.external(v)
-    out_ids = sorted(e.id for e in net.out_edges(v))
+    out_ids = net.out_ids(v)
     unit_ids = [e for e in out_ids if net.edge(e).weight == 1]
     zero_ids = [e for e in out_ids if net.edge(e).weight == 0]
     payoffs = _ExactPayoffs(game, v)
@@ -636,7 +651,7 @@ def _best_response(game: _Game, v: NodeId) -> BestResponse:
     """v's best response against the game's given profile: the first best
     strategy of v's searched tuple, walked as the codes (i - home_v) * stride_v."""
     net = game.net
-    if not net.out_edges(v):
+    if not net.out_ids(v):
         raise FinclearError(f"{v!r} has no outgoing edges; nothing to optimize")
     used_before = game.meter.used
     current = game.given.get(v)
@@ -664,7 +679,7 @@ def _best_response(game: _Game, v: NodeId) -> BestResponse:
     except _Exhausted:
         exhausted = True
     if best_strat is None:
-        best_strat = EdgeRankingStrategy(v, tuple(sorted(e.id for e in net.out_edges(v))))
+        best_strat = EdgeRankingStrategy(v, tuple(net.out_ids(v)))
         best_val = 0
     return BestResponse(best_strat, best_val, not exhausted, game.meter.used - used_before)
 
@@ -685,8 +700,7 @@ def best_response_exact(
     try:
         return _best_response(game, v)
     except _Exhausted:
-        out_ids = tuple(sorted(e.id for e in net.out_edges(v)))
-        return BestResponse(EdgeRankingStrategy(v, out_ids), 0, False, game.meter.used)
+        return BestResponse(EdgeRankingStrategy(v, tuple(net.out_ids(v))), 0, False, game.meter.used)
 
 
 # ---------------------------------------------------------------------------
@@ -839,6 +853,21 @@ class EnumerationResult:
     exhaustive: bool
 
 
+def _deviates(game: _Game, code: int, assets: Sequence[Money]) -> bool:
+    """Whether a firm insolvent in ``code``'s state ``assets`` gains by
+    switching alone to another of its strategies; each firm's digit is
+    decoded once, and its options are tried in index order."""
+    at = game.circ.index
+    for v in _insolvent_firms(game, assets):
+        count = len(game.strategies(v))
+        here, stride, before = game.index(code, v), game.stride[v], assets[at[v]]
+        start = code - here * stride
+        for i in range(count):
+            if i != here and game.clear(start + i * stride)[at[v]] > before:
+                return True
+    return False
+
+
 def _enumerate(
     game: _Game, check_strong: bool
 ) -> tuple[list[tuple[int, EquilibriumReport]], Money | None, bool]:
@@ -849,7 +878,6 @@ def _enumerate(
     finished within budget.
     """
     firms = [v for v in game.firms if v not in game.given]
-    at = game.circ.index
     found: list[tuple[int, EquilibriumReport]] = []
     best: Money | None = None
     try:
@@ -857,12 +885,7 @@ def _enumerate(
             assets = game.clear(code)
             if best is None or sum(assets) > best:
                 best = sum(assets)
-            if any(
-                game.clear(game.move(code, v, i))[at[v]] > assets[at[v]]
-                for v in _insolvent_firms(game, assets)
-                for i in range(len(game.strategies(v)))
-                if i != game.index(code, v)
-            ):
+            if _deviates(game, code, assets):
                 continue
             if check_strong:
                 report = _is_strong(game, code)
@@ -961,16 +984,16 @@ def _min_max_cycle_d(
     circ: CirculationNetwork, fstar: FlowAssignment, budget: SearchBudget
 ) -> CycleBound:
     net = circ.base
-    real = list(net.edges)
-    target = sum(fstar.get(e.id) for e in real)
+    weights = net.weights
+    target = sum(fstar.get(e) for e in net.ids)
     if target == 0 and net.total_external() == 0:
         return CycleBound(0, True)
     meter = _Meter(budget)
 
-    m = len(real)
+    m = len(weights)
     suffix_cap = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
-        suffix_cap[k] = suffix_cap[k + 1] + real[k].weight
+        suffix_cap[k] = suffix_cap[k + 1] + weights[k]
 
     src, dst, external = circ.src, circ.dst, circ.external
     all_ids = sorted(e for e in circ.ids if e is not None)
@@ -1074,8 +1097,8 @@ def _min_max_cycle_d(
     # assigned. ``assign[k]`` is None while edge k has not been tried.
     assign: list[Money | None] = [None] * m
     over = [0] * len(circ.nodes)
-    for v, e in zip(dst, real):
-        over[v] -= e.weight
+    for v, w in zip(dst, weights):
+        over[v] -= w
     try:
         k, total, entering = 0, 0, True
         while k >= 0:
@@ -1091,8 +1114,8 @@ def _min_max_cycle_d(
                     best = d_here if best is None else min(best, d_here)
                     k -= 1
                     continue
-                over[dst[k]] += real[k].weight
-            u, v, w, f = src[k], dst[k], real[k].weight, assign[k]
+                over[dst[k]] += weights[k]
+            u, v, w, f = src[k], dst[k], weights[k], assign[k]
             if f == 0:  # every flow on edge k is tried
                 assign[k] = None
                 over[v] -= w

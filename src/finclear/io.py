@@ -3,13 +3,17 @@
 A document carries the network (``nodes``, ``edges``) and optionally the
 committed part of a strategy profile (``strategies``). Parsing is fail-loud:
 unknown fields, wrong types, and out-of-range values are rejected with the
-offending field's path. Saving is canonical, so save(load(x)) is
-byte-identical for canonicalized files.
+offending field's path. It fills the network's arrays straight from the JSON
+entries and checks each strategy against them, so loading builds no
+``LiabilityEdge``. Saving is canonical, so save(load(x)) is byte-identical for
+canonicalized files.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import operator
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -17,10 +21,10 @@ from .core import (
     UNBOUNDED,
     FinancialNetwork,
     FinclearError,
-    LiabilityEdge,
     TOTAL_WEIGHT_CAP,
     Weight,
     node_key,
+    sorted_nodes,
 )
 from .strategies import (
     EdgeRankingStrategy,
@@ -66,14 +70,6 @@ def _require_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{path}: expected an integer, got {type(value).__name__}")
     return value
-
-
-def _consumed(entries: list):
-    """(index, entry) pairs, each entry dropped from the list as it is handed
-    out, so that the parsed JSON is freed while the network is built."""
-    for i in range(len(entries)):
-        entry, entries[i] = entries[i], None
-        yield i, entry
 
 
 def _reject_unknown(obj: Mapping[str, Any], allowed: set[str], path: str) -> None:
@@ -167,16 +163,45 @@ def _checked_edge(entry: Any, path: str) -> tuple[int, str, str, Weight]:
     )
 
 
-def parse_document(text: str) -> NetworkDocument:
-    """Parse a network document; strategies are checked against the network.
+def _columns(entries: list, fields: tuple[str, ...], types: tuple[type, ...]) -> list[list] | None:
+    """Each field of every entry, as one list per field, if every entry is
+    an object of exactly these fields and the values have exactly these
+    JSON types (so a boolean is never an amount); else None."""
+    if set(map(type, entries)) - {dict} or set(map(len, entries)) - {len(fields)}:
+        return None
+    try:
+        columns = [list(map(operator.itemgetter(field), entries)) for field in fields]
+    except KeyError:
+        return None
+    if any(set(map(type, column)) - {kind} for column, kind in zip(columns, types)):
+        return None
+    return columns
 
-    Each node, edge and strategy entry gets one inline test: exact JSON
-    types and a key set within the allowed fields (every allowed field is
-    present, so the entry's size leaves room for no other). The test accepts
-    exactly what the ``_checked_*`` sequences accept, so only an entry that
-    fails it pays for them, and they raise the message naming its first bad
-    field.
+
+def parse_document(text: str) -> NetworkDocument:
+    """Parse a network document straight into the network's arrays; its
+    strategies are checked against the network.
+
+    A node or edge list is read a column at a time if every entry is an
+    object of exactly its fields, of exact JSON types, with node ids distinct
+    and weights non-negative; else each entry goes through ``_checked_node``
+    or ``_checked_edge``, which accept exactly such entries (or an
+    ``"unbounded"`` weight) and name the first bad field of the first bad
+    entry. A strategy entry that fails its inline test of the same kind goes
+    through ``_checked_strategy``. Each list is emptied once read. The cyclic
+    garbage collector is paused meanwhile: the JSON tree and all built from
+    it are acyclic, so a collection could only walk them.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(text: str) -> NetworkDocument:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -184,50 +209,39 @@ def parse_document(text: str) -> NetworkDocument:
     top = _require_mapping(raw, "document")
     _reject_unknown(top, {"nodes", "edges", "strategies"}, "document")
 
-    nodes = []
-    externals = {}
-    for i, obj in _consumed(_require_list(top.get("nodes"), "nodes")):
-        if not (
-            type(obj) is dict
-            and len(obj) == 2
-            and type(node := obj.get("id")) is str
-            and type(external := obj.get("external")) is int
-        ):
+    entries = _require_list(top.get("nodes"), "nodes")
+    columns = _columns(entries, ("id", "external"), (str, int))
+    if columns is not None and len(set(columns[0])) == len(entries):
+        externals = dict(zip(*columns))
+    else:
+        externals = {}
+        for i, obj in enumerate(entries):
             node, external = _checked_node(obj, f"nodes[{i}]")
-        if node in externals:
-            raise ParseError(f"nodes[{i}].id: duplicate node '{node}'")
-        nodes.append(node)
-        externals[node] = external
+            if node in externals:
+                raise ParseError(f"nodes[{i}].id: duplicate node '{node}'")
+            externals[node] = external
+    entries.clear()
 
-    edges = []
-    finite = 0
-    for i, obj in _consumed(_require_list(top.get("edges", []), "edges")):
-        if not (
-            type(obj) is dict
-            and len(obj) == 4
-            and type(edge_id := obj.get("id")) is int
-            and type(src := obj.get("src")) is str
-            and type(dst := obj.get("dst")) is str
-            and type(weight := obj.get("weight")) is int
-            and weight >= 0
-        ):
-            edge_id, src, dst, weight = _checked_edge(obj, f"edges[{i}]")
-        if weight is not UNBOUNDED:
-            finite += weight
-        edges.append(LiabilityEdge(edge_id, src, dst, weight))
-
+    entries = _require_list(top.get("edges", []), "edges")
+    columns = _columns(entries, ("id", "src", "dst", "weight"), (int, str, str, int))
+    if columns is not None and min(columns[3], default=0) >= 0:
+        finite = sum(columns[3])
+    else:
+        rows = [_checked_edge(obj, f"edges[{i}]") for i, obj in enumerate(entries)]
+        columns = [[row[j] for row in rows] for j in range(4)]
+        finite = sum(w for w in columns[3] if w is not UNBOUNDED)
+    entries.clear()
     if finite + sum(max(x, 0) for x in externals.values()) > TOTAL_WEIGHT_CAP:
         raise ParseError(
             f"document: total weight plus external assets exceeds 2^62 ({TOTAL_WEIGHT_CAP})"
         )
 
-    net = FinancialNetwork.build(nodes, externals, edges)
-    strategies = [
-        _parse_strategy(entry, i)
-        for i, entry in _consumed(_require_list(top.get("strategies", []), "strategies"))
-    ]
-    owners = [s.owner for s in strategies]
-    if len(set(owners)) != len(owners):
+    nodes = tuple(sorted_nodes(externals))
+    net = FinancialNetwork(nodes, {v: externals[v] for v in nodes}, *columns)
+    entries = _require_list(top.get("strategies", []), "strategies")
+    strategies = [_parse_strategy(entry, i) for i, entry in enumerate(entries)]
+    entries.clear()
+    if len({s.owner for s in strategies}) != len(strategies):
         raise ParseError("strategies: duplicate owner")
     for strat in strategies:
         try:
@@ -275,12 +289,12 @@ def render_document(
         ],
         "edges": [
             {
-                "id": e.id,
-                "src": e.src,
-                "dst": e.dst,
-                "weight": UNBOUNDED_TOKEN if e.is_unbounded() else e.weight,
+                "id": e,
+                "src": net.names[u],
+                "dst": net.names[v],
+                "weight": UNBOUNDED_TOKEN if w is UNBOUNDED else w,
             }
-            for e in net.edges
+            for e, u, v, w in zip(net.ids, net.src, net.dst, net.weights)
         ],
         "strategies": [
             _strategy_entry(profile.strategies[owner])
@@ -315,10 +329,9 @@ def render_dot(net: FinancialNetwork) -> str:
             box = _dot_quote(f"external:{v}")
             lines.append(f"  {box} [shape=box, label=\"{ext}\"];")
             lines.append(f"  {box} -> {_dot_quote(v)} [style=dashed];")
-    for e in net.edges:
-        weight = UNBOUNDED_TOKEN if e.is_unbounded() else e.weight
-        lines.append(
-            f"  {_dot_quote(e.src)} -> {_dot_quote(e.dst)} [label=\"{weight}\"];"
-        )
+    quoted = [_dot_quote(v) for v in net.names]
+    for u, v, w in zip(net.src, net.dst, net.weights):
+        weight = UNBOUNDED_TOKEN if w is UNBOUNDED else w
+        lines.append(f"  {quoted[u]} -> {quoted[v]} [label=\"{weight}\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"

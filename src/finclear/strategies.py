@@ -5,11 +5,12 @@ to saturation. Threshold-ranking makes two passes over a ranking: first up to
 a per-edge threshold, then the remainders. They are the monotone integer
 strategies the clearing and equilibrium machinery searches over; the
 non-strategic pro-rata baseline (``clear_pro_rata``) takes none. Both kinds are
-defined by one schedule, ``payment_segments``: an ordered list of
-(edge, length) segments that the firm's assets fill one unit at a time. An
-edge ranking is a threshold ranking with zero thresholds, and threshold
-rankings suffice to reproduce any monotone integer schedule's clearing
-outcome.
+defined by one schedule, ``compiled_segments``: an ordered list of
+(edge slot, length) segments that the firm's assets fill one unit at a time
+(``payment_segments`` names the edges by id), compiled from the network's
+arrays when a clear needs it. An edge ranking is a threshold ranking with zero
+thresholds, and threshold rankings suffice to reproduce any monotone integer
+schedule's clearing outcome.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .core import EdgeId, FinancialNetwork, FinclearError, Money, NodeId
+from .core import UNBOUNDED, EdgeId, FinancialNetwork, FinclearError, Money, NodeId
 
 
 class StrategyError(FinclearError):
@@ -85,27 +86,28 @@ class StrategyProfile:
 
 def check_strategy(strat: RankingStrategy, net: FinancialNetwork) -> None:
     """Raise StrategyError unless the strategy is well-formed for this network."""
-    out_ids = sorted(e.id for e in net.out_edges(strat.owner))
+    out_ids = net.out_ids(strat.owner)
     if sorted(strat.ranking) != out_ids:
         raise StrategyError(
             f"ranking of {strat.owner!r} is not a permutation of its outgoing edges"
         )
     if isinstance(strat, ThresholdRankingStrategy):
-        taus = strat.threshold_map()
+        taus = dict(strat.thresholds)
         if sorted(taus) != out_ids:
             raise StrategyError(
                 f"thresholds of {strat.owner!r} must cover exactly its outgoing edges"
             )
         for e_id, tau in taus.items():
-            cap = net.edge(e_id).weight
+            cap = net.weights[net.slot[e_id]]
             if not (0 <= tau <= cap):
                 raise StrategyError(
                     f"threshold {tau} on edge {e_id} outside [0, {cap}]"
                 )
 
 
-def payment_segments(strat: RankingStrategy, net: FinancialNetwork) -> list[tuple[EdgeId, Money]]:
-    """The strategy's payment schedule as positive-length (edge, length) segments.
+def compiled_segments(strat: RankingStrategy, net: FinancialNetwork) -> list[tuple[int, Money]]:
+    """The strategy's payment schedule as positive-length (slot, length)
+    segments in ``net``'s edge slots, in one pass over its ranking.
 
     Threshold-ranking yields the pass-1 threshold segments followed by the
     pass-2 remainders; edge-ranking is threshold-ranking with zero thresholds,
@@ -113,18 +115,29 @@ def payment_segments(strat: RankingStrategy, net: FinancialNetwork) -> list[tupl
     Zero-length segments (zero-weight edges, zero thresholds, saturated
     thresholds) are dropped: they can never receive a unit.
     """
-    if isinstance(strat, EdgeRankingStrategy):
+    if isinstance(strat, ThresholdRankingStrategy):
+        taus = dict(strat.thresholds)
+    elif isinstance(strat, EdgeRankingStrategy):
         taus = dict.fromkeys(strat.ranking, 0)
-    elif isinstance(strat, ThresholdRankingStrategy):
-        taus = strat.threshold_map()
     else:
         raise StrategyError(f"no payment segments for {type(strat).__name__}")
-    segments = [(e_id, taus[e_id]) for e_id in strat.ranking if taus[e_id] > 0]
-    for e_id in strat.ranking:
-        rest = net.edge(e_id).weight - taus[e_id]
-        if rest > 0:
-            segments.append((e_id, rest))
-    return segments
+    segments, rests = [], []
+    for e in strat.ranking:
+        k = net.slot[e]
+        w, tau = net.weights[k], taus[e]
+        if w is UNBOUNDED:
+            raise StrategyError(f"strategy of {strat.owner!r} ranks an unbounded edge")
+        if tau > 0:
+            segments.append((k, tau))
+        if w > tau:
+            rests.append((k, w - tau))
+    return segments + rests
+
+
+def payment_segments(strat: RankingStrategy, net: FinancialNetwork) -> list[tuple[EdgeId, Money]]:
+    """The strategy's payment schedule as positive-length (edge, length)
+    segments: ``compiled_segments`` with each slot's edge id."""
+    return [(net.ids[k], x) for k, x in compiled_segments(strat, net)]
 
 
 def payment_vector(strat: RankingStrategy, net: FinancialNetwork, y) -> dict[EdgeId, Money]:
@@ -155,8 +168,8 @@ def behavior_signature(strat: RankingStrategy, net: FinancialNetwork) -> tuple:
     identical clearing states in any profile. Enumeration dedupes on this.
     """
     runs: list[tuple[NodeId, Money]] = []
-    for e_id, length in payment_segments(strat, net):
-        dst = net.edge(e_id).dst
+    for k, length in compiled_segments(strat, net):
+        dst = net.names[net.dst[k]]
         if runs and runs[-1][0] == dst:
             length += runs.pop()[1]
         runs.append((dst, length))

@@ -12,18 +12,39 @@ edge by edge, and the compiled versions must agree with them.
 ``reference_max_value_circulation`` is the maximum-value circulation with
 no per-phase arc lists, the oracle for the package version.
 
+``reference_strategy_space`` enumerates every ranking, interchangeable
+out-edges included, and keeps the first strategy of each behavior.
+
 ``active_segment`` and ``threshold_from_flows`` rebuild an insolvent firm's
 strategy from the flows of a clearing state.
+
+``reference_parse_document`` is the loader as it was before documents were
+parsed straight into ``FinancialNetwork``'s arrays: it builds one
+``LiabilityEdge`` per edge into a ``ReferenceNetwork``, whose adjacency is
+a dict of tuples, and checks each strategy against that with
+``reference_check_strategy``. ``reference_violations`` and
+``reference_payment_segments`` are validation and the payment schedule over
+the same objects. They are the oracles of the compiled loader.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 
-from finclear import UNBOUNDED, FinancialNetwork, LiabilityEdge, ThresholdRankingStrategy
+from finclear import (
+    UNBOUNDED,
+    FinancialNetwork,
+    FinclearError,
+    LiabilityEdge,
+    ThresholdRankingStrategy,
+)
 from finclear.core import (
+    TOTAL_WEIGHT_CAP,
     CirculationNetwork,
     ClearingState,
     ConservationError,
@@ -35,22 +56,48 @@ from finclear.core import (
     NodeId,
     UnboundedType,
     UnknownNodeError,
+    Violation,
     fresh_source_id,
     sorted_nodes,
     total_liabilities,
 )
-from finclear.strategies import RankingStrategy, StrategyError, payment_segments
+from finclear.io import (
+    ParseError,
+    _checked_edge,
+    _checked_node,
+    _parse_strategy,
+    _reject_unknown,
+    _require_list,
+    _require_mapping,
+)
+from finclear.strategies import (
+    EdgeRankingStrategy,
+    RankingStrategy,
+    StrategyError,
+    StrategyProfile,
+    behavior_signature,
+    payment_segments,
+)
 
 
-@dataclass(frozen=True)
 class ReferenceCirculation(FinancialNetwork):
-    """The circulation network as an explicit graph: ``nodes`` and ``edges``
-    are the base ones followed by the source and its edges."""
+    """The circulation network as an explicit graph: ``nodes`` are the base
+    ones and the source, and ``edges`` the base ones followed by the
+    source's."""
 
-    base: FinancialNetwork
-    source: NodeId
-    source_in: tuple[LiabilityEdge, ...]  # (v, s), unbounded, one per firm
-    source_out: tuple[LiabilityEdge, ...]  # (s, v), weight a^x_v, firms with a^x_v > 0
+    def __init__(
+        self,
+        base: FinancialNetwork,
+        source: NodeId,
+        source_in: tuple[LiabilityEdge, ...],  # (v, s), unbounded, one per firm
+        source_out: tuple[LiabilityEdge, ...],  # (s, v), weight a^x_v, firms with a^x_v > 0
+    ) -> None:
+        edges = base.edges + source_in + source_out
+        columns = [[getattr(e, field) for e in edges] for field in ("id", "src", "dst", "weight")]
+        super().__init__(tuple(sorted_nodes((*base.nodes, source))), {}, *columns)
+        fields = {"base": base, "source": source, "source_in": source_in, "source_out": source_out}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def surplus_edge(self, v: NodeId) -> LiabilityEdge:
         """The unbounded (v, source) edge carrying v's surplus."""
@@ -72,15 +119,7 @@ def reference_circulation(net: FinancialNetwork) -> ReferenceCirculation:
         if net.external(v) > 0:
             source_out.append(LiabilityEdge(next_id, source, v, net.external(v)))
             next_id += 1
-    return ReferenceCirculation(
-        net.nodes + (source,),
-        {},
-        net.edges + tuple(source_in) + tuple(source_out),
-        net,
-        source,
-        tuple(source_in),
-        tuple(source_out),
-    )
+    return ReferenceCirculation(net, source, tuple(source_in), tuple(source_out))
 
 
 def reference_conservation(circ: ReferenceCirculation, flows: FlowAssignment) -> None:
@@ -306,3 +345,171 @@ def threshold_from_flows(
     ranking = (unpaid_top,) + tuple(sorted(e for e in by_id if e != unpaid_top))
     taus = {e.id: cs.flows.get(e.id) for e in out}
     return ThresholdRankingStrategy.of(v, ranking, taus)
+
+
+@dataclass(frozen=True)
+class ReferenceNetwork:
+    """A network as one ``LiabilityEdge`` per edge, sorted by id, and dicts
+    of per-node edge tuples (undeclared endpoints included)."""
+
+    nodes: tuple[NodeId, ...]
+    external_assets: dict[NodeId, Money]
+    edges: tuple[LiabilityEdge, ...]
+    out: dict = field(init=False, repr=False, compare=False)
+    into: dict = field(init=False, repr=False, compare=False)
+    by_id: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        out: dict[NodeId, list[LiabilityEdge]] = {v: [] for v in self.nodes}
+        into: dict[NodeId, list[LiabilityEdge]] = {v: [] for v in self.nodes}
+        for e in self.edges:
+            out.setdefault(e.src, []).append(e)
+            into.setdefault(e.dst, []).append(e)
+        object.__setattr__(self, "out", {v: tuple(es) for v, es in out.items()})
+        object.__setattr__(self, "into", {v: tuple(es) for v, es in into.items()})
+        object.__setattr__(self, "by_id", {e.id: e for e in self.edges})
+
+    def out_edges(self, v: NodeId) -> tuple[LiabilityEdge, ...]:
+        try:
+            return self.out[v]
+        except KeyError:
+            raise UnknownNodeError(f"unknown node {v!r}") from None
+
+
+def reference_check_strategy(strat: RankingStrategy, net: ReferenceNetwork) -> None:
+    out_ids = sorted(e.id for e in net.out_edges(strat.owner))
+    if sorted(strat.ranking) != out_ids:
+        raise StrategyError(
+            f"ranking of {strat.owner!r} is not a permutation of its outgoing edges"
+        )
+    if not isinstance(strat, EdgeRankingStrategy):
+        taus = strat.threshold_map()
+        if sorted(taus) != out_ids:
+            raise StrategyError(
+                f"thresholds of {strat.owner!r} must cover exactly its outgoing edges"
+            )
+        for e_id, tau in taus.items():
+            cap = net.by_id[e_id].weight
+            if not (0 <= tau <= cap):
+                raise StrategyError(f"threshold {tau} on edge {e_id} outside [0, {cap}]")
+
+
+def reference_payment_segments(
+    strat: RankingStrategy, net: ReferenceNetwork
+) -> list[tuple[EdgeId, Money]]:
+    """Pass-1 thresholds, then pass-2 remainders, zero lengths dropped."""
+    if isinstance(strat, EdgeRankingStrategy):
+        taus = dict.fromkeys(strat.ranking, 0)
+    else:
+        taus = strat.threshold_map()
+    segments = [(e_id, taus[e_id]) for e_id in strat.ranking if taus[e_id] > 0]
+    for e_id in strat.ranking:
+        rest = net.by_id[e_id].weight - taus[e_id]
+        if rest > 0:
+            segments.append((e_id, rest))
+    return segments
+
+
+def reference_violations(net: ReferenceNetwork) -> tuple[Violation, ...]:
+    found: list[Violation] = []
+    declared = set(net.nodes)
+    for v in sorted_nodes(net.external_assets):
+        amount = net.external_assets[v]
+        if v not in declared:
+            found.append(Violation("unknown-external-node", f"external assets for undeclared node {v!r}"))
+        if isinstance(amount, int) and amount < 0:
+            found.append(Violation("negative-external", f"node {v!r} has external assets {amount}"))
+    seen_ids: set[EdgeId] = set()
+    for e in net.edges:
+        if e.id in seen_ids:
+            found.append(Violation("duplicate-edge-id", f"edge id {e.id} appears more than once"))
+        seen_ids.add(e.id)
+        if e.src not in declared:
+            found.append(Violation("dangling-endpoint", f"edge {e.id} source {e.src!r} is not declared"))
+        if e.dst not in declared:
+            found.append(Violation("dangling-endpoint", f"edge {e.id} target {e.dst!r} is not declared"))
+        if e.src == e.dst:
+            found.append(Violation("self-loop", f"edge {e.id} loops on {e.src!r}"))
+        if e.is_unbounded():
+            found.append(Violation("unbounded-weight", f"edge {e.id} has unbounded weight outside a circulation network"))
+        elif e.weight < 0:
+            found.append(Violation("negative-weight", f"edge {e.id} has weight {e.weight}"))
+    return tuple(found)
+
+
+def reference_parse_document(text: str) -> tuple[ReferenceNetwork, StrategyProfile]:
+    """Entry by entry, each node and edge through its inline test or its
+    ``_checked_*`` sequence; then the 2^62 cap, the network, the strategies,
+    the duplicate-owner check and ``reference_check_strategy`` on each."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    top = _require_mapping(raw, "document")
+    _reject_unknown(top, {"nodes", "edges", "strategies"}, "document")
+    externals = {}
+    for i, obj in enumerate(_require_list(top.get("nodes"), "nodes")):
+        if not (
+            type(obj) is dict
+            and len(obj) == 2
+            and type(node := obj.get("id")) is str
+            and type(external := obj.get("external")) is int
+        ):
+            node, external = _checked_node(obj, f"nodes[{i}]")
+        if node in externals:
+            raise ParseError(f"nodes[{i}].id: duplicate node '{node}'")
+        externals[node] = external
+    edges = []
+    finite = 0
+    for i, obj in enumerate(_require_list(top.get("edges", []), "edges")):
+        if not (
+            type(obj) is dict
+            and len(obj) == 4
+            and type(edge_id := obj.get("id")) is int
+            and type(src := obj.get("src")) is str
+            and type(dst := obj.get("dst")) is str
+            and type(weight := obj.get("weight")) is int
+            and weight >= 0
+        ):
+            edge_id, src, dst, weight = _checked_edge(obj, f"edges[{i}]")
+        if weight is not UNBOUNDED:
+            finite += weight
+        edges.append(LiabilityEdge(edge_id, src, dst, weight))
+    if finite + sum(max(x, 0) for x in externals.values()) > TOTAL_WEIGHT_CAP:
+        raise ParseError(
+            f"document: total weight plus external assets exceeds 2^62 ({TOTAL_WEIGHT_CAP})"
+        )
+    nodes = tuple(sorted_nodes(externals))
+    edges.sort(key=attrgetter("id"))
+    net = ReferenceNetwork(nodes, {v: externals[v] for v in nodes}, tuple(edges))
+    strategies = [
+        _parse_strategy(entry, i)
+        for i, entry in enumerate(_require_list(top.get("strategies", []), "strategies"))
+    ]
+    owners = [s.owner for s in strategies]
+    if len(set(owners)) != len(owners):
+        raise ParseError("strategies: duplicate owner")
+    for strat in strategies:
+        try:
+            reference_check_strategy(strat, net)
+        except FinclearError as exc:
+            raise ParseError(f"strategies[{strat.owner}]: {exc}") from exc
+    return net, StrategyProfile.of(strategies)
+
+
+def reference_strategy_space(net: FinancialNetwork, v: NodeId, threshold: bool) -> tuple:
+    """Every permutation of v's out-edge ids in lexicographic order (with, in
+    the threshold space, every threshold vector, ascending), the first
+    candidate of each behavior kept."""
+    out_ids = sorted(e.id for e in net.out_edges(v))
+    ranges = [range(net.edge(e).weight + 1 if threshold else 1) for e in out_ids]
+    kept: dict[tuple, RankingStrategy] = {}
+    for p in itertools.permutations(out_ids):
+        for taus in itertools.product(*ranges):
+            strat = (
+                ThresholdRankingStrategy.of(v, p, dict(zip(out_ids, taus)))
+                if threshold
+                else EdgeRankingStrategy(v, p)
+            )
+            kept.setdefault(behavior_signature(strat, net), strat)
+    return tuple(kept.values())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import random
 
 import pytest
@@ -109,6 +110,23 @@ class TestBuild:
         net = with_external(chain_net(), "b", 7)
         assert net.external("b") == 7
         assert net.external("a") == 2
+
+    def test_networks_with_different_dangling_targets_differ(self):
+        one = FinancialNetwork.build(["a"], {}, [(0, "a", "x", 1)])
+        other = FinancialNetwork.build(["a"], {}, [(0, "a", "y", 1)])
+        assert one.dst == other.dst
+        assert one != other
+        assert one == FinancialNetwork.build(["a"], {}, [(0, "a", "x", 1)])
+
+    def test_network_rejects_assignment(self):
+        net = chain_net()
+        assert validate_network(net).ok
+        for name in ("weights", "nodes", "slot", "_report"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(net, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del net.weights
+        assert all(type(col) is tuple for col in (net.ids, net.src, net.dst, net.weights))
 
 
 class TestValidate:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finclear import (
     UNBOUNDED,
@@ -49,9 +49,13 @@ from finclear.core import (
 )
 from finclear import clearing, equilibria
 from finclear.clearing import ProfileError
-from finclear.equilibria import max_value_circulation
+from finclear.equilibria import max_value_circulation, strategy_space
 from finclear.strategies import StrategyError
-from _reference import reference_circulation, reference_max_value_circulation
+from _reference import (
+    reference_circulation,
+    reference_max_value_circulation,
+    reference_strategy_space,
+)
 from _samplers import random_net, random_profile, with_external
 
 
@@ -81,6 +85,7 @@ class TestBestResponse:
         assert br.strategy.ranking[0] == 4  # the sink edge jumps the queue
 
     @given(st.integers(0, 2**32 - 1))
+    @example(34069)  # n2 owes n1 on six parallel edges, five of them of weight 3
     @settings(max_examples=25, deadline=None)
     def test_threshold_space_dominates_edge_space(self, seed):
         rng = random.Random(seed)
@@ -94,6 +99,22 @@ class TestBestResponse:
         thr_br = best_response_exact(net, profile, firm, space=SearchSpace.THRESHOLD)
         assert edge_br.exhaustive and thr_br.exhaustive
         assert thr_br.value >= edge_br.value
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(SearchSpace)))
+@settings(max_examples=100, deadline=None)
+def test_strategy_space_keeps_every_behavior_in_order(seed, space):
+    """Skipping the rankings that order interchangeable out-edges against
+    ascending id keeps the same strategies, in the same order, and charges
+    no more candidates than there are rankings and threshold vectors."""
+    rng = random.Random(seed)
+    net = random_net(rng, max_nodes=3, max_edges=4, max_weight=2)
+    for v in net.debtors():
+        threshold = space is SearchSpace.THRESHOLD
+        meter = equilibria._Meter(SearchBudget(10**7))
+        assert strategy_space(net, v, space, meter=meter) == reference_strategy_space(net, v, threshold)
+        sizes = [net.edge(e).weight + 1 if threshold else 1 for e in net.out_ids(v)]
+        assert meter.used <= math.factorial(len(sizes)) * math.prod(sizes)
 
 
 class TestNash:

@@ -6,17 +6,20 @@ import json
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from finclear import cli, clearing, core, io as finclear_io
+from finclear import cli, clearing, core, io as finclear_io, strategies as finclear_strategies
 from finclear.cli import _fmt
 
 from finclear import (
     UNBOUNDED,
     EdgeRankingStrategy,
     FinancialNetwork,
+    LiabilityEdge,
     ParseError,
     StrategyProfile,
     ThresholdRankingStrategy,
@@ -26,6 +29,13 @@ from finclear import (
     render_dot,
     save_document,
     validate_network,
+)
+from finclear.core import UnknownNodeError
+from finclear.strategies import payment_segments
+from _reference import (
+    reference_parse_document,
+    reference_payment_segments,
+    reference_violations,
 )
 from _samplers import random_net, random_profile
 
@@ -351,6 +361,229 @@ def test_total_weight_at_the_cap_loads():
     assert sum(e.weight for e in doc.network.edges) + doc.network.external("a") == 2**62
 
 
+def _random_document(rng: random.Random) -> dict:
+    """A valid document as a JSON tree: a random network with up to two
+    added parallel edges, strategies of both kinds for some indebted firms,
+    and nodes and edges in shuffled order."""
+    net = random_net(rng, max_nodes=6, max_edges=10, max_weight=5)
+    edges = [(e.id, e.src, e.dst, e.weight) for e in net.edges]
+    for _ in range(rng.randint(0, 2)):
+        _, u, v, w = rng.choice(edges)
+        edges.append((edges[-1][0] + rng.randint(1, 3), u, v, rng.choice((w, rng.randint(0, 5)))))
+    net = FinancialNetwork.build(net.nodes, net.external_assets, edges)
+    profile = random_profile(rng, net)
+    kept = [s for s in profile.strategies.values() if rng.random() < 0.8]
+    doc = json.loads(render_document(net, StrategyProfile.of(kept)))
+    rng.shuffle(doc["nodes"])
+    rng.shuffle(doc["edges"])
+    return doc
+
+
+def _entries(doc: dict, key: str) -> list[dict]:
+    part = doc.get(key)
+    return [e for e in part if isinstance(e, dict)] if isinstance(part, list) else []
+
+
+def _thresholds(doc: dict) -> list[dict]:
+    return [
+        s["thresholds"] for s in _entries(doc, "strategies")
+        if isinstance(s.get("thresholds"), dict) and s["thresholds"]
+    ]
+
+
+def _set(rng, entries: list[dict], field: str, value) -> None:
+    if entries:
+        rng.choice(entries)[field] = value
+
+
+def _wrong_type(doc, rng):
+    part = rng.choice(("nodes", "edges", "strategies", "entry", "field"))
+    if part in ("nodes", "edges", "strategies"):
+        doc[part] = rng.choice(({}, 3, "x", None))
+    elif part == "entry" and doc["nodes"]:
+        key = rng.choice(("nodes", "edges", "strategies"))
+        if isinstance(doc.get(key), list) and doc[key]:
+            doc[key][rng.randrange(len(doc[key]))] = rng.choice(([], 1, "x", None))
+    else:
+        entries = [e for key in ("nodes", "edges", "strategies") for e in _entries(doc, key)]
+        if entries:
+            entry = rng.choice(entries)
+            entry[rng.choice(sorted(entry))] = rng.choice(([0], {"a": 1}, 1.5, "7", None, 7))
+
+
+def _bool_amount(doc, rng):
+    where = rng.choice(("external", "weight", "threshold", "ranking"))
+    if where == "external":
+        _set(rng, _entries(doc, "nodes"), "external", rng.choice((True, False)))
+    elif where == "weight":
+        _set(rng, _entries(doc, "edges"), "weight", rng.choice((True, False)))
+    elif where == "threshold" and _thresholds(doc):
+        taus = rng.choice(_thresholds(doc))
+        taus[rng.choice(sorted(taus))] = rng.choice((True, False))
+    else:
+        rankings = [
+            s["ranking"] for s in _entries(doc, "strategies")
+            if isinstance(s.get("ranking"), list) and s["ranking"]
+        ]
+        if rankings:
+            ranking = rng.choice(rankings)
+            ranking[rng.randrange(len(ranking))] = True
+
+
+def _unknown_field(doc, rng):
+    entries = [e for key in ("nodes", "edges", "strategies") for e in _entries(doc, key)]
+    (rng.choice(entries) if entries and rng.random() < 0.8 else doc)["extra"] = 1
+
+
+def _missing_field(doc, rng):
+    entries = [e for key in ("nodes", "edges", "strategies") for e in _entries(doc, key) if e]
+    if entries:
+        entry = rng.choice(entries)
+        del entry[rng.choice(sorted(entry))]
+
+
+def _duplicate_id(key):
+    def mutate(doc, rng):
+        entries = _entries(doc, key)
+        if len(entries) >= 2:
+            a, b = rng.sample(entries, 2)
+            a["id"] = b.get("id")
+    return mutate
+
+
+def _dangling(doc, rng):
+    _set(rng, _entries(doc, "edges"), rng.choice(("src", "dst")), "ghost")
+
+
+def _self_loop(doc, rng):
+    edges = _entries(doc, "edges")
+    if edges:
+        edge = rng.choice(edges)
+        edge["dst"] = edge.get("src")
+
+
+def _unbounded(doc, rng):
+    _set(rng, _entries(doc, "edges"), "weight", "unbounded")
+
+
+def _over_the_cap(doc, rng):
+    _set(rng, _entries(doc, "edges"), "weight", 2**62)
+
+
+def _key_with_zero(doc, rng):
+    if _thresholds(doc):
+        taus = rng.choice(_thresholds(doc))
+        key = rng.choice(sorted(taus))
+        taus["0" + key] = taus.pop(key)
+
+
+def _threshold_above_weight(doc, rng):
+    weights = {e["id"]: e.get("weight") for e in _entries(doc, "edges") if type(e.get("id")) is int}
+    if _thresholds(doc):
+        taus = rng.choice(_thresholds(doc))
+        key = rng.choice(sorted(taus))
+        weight = weights.get(int(key) if key.isdigit() else None)
+        if type(weight) is int:
+            taus[key] = weight + 1
+
+
+def _undeclared_owner(doc, rng):
+    _set(rng, _entries(doc, "strategies"), "owner", "ghost")
+
+
+def _duplicate_owner(doc, rng):
+    strategies = _entries(doc, "strategies")
+    if strategies:
+        doc["strategies"].append(json.loads(json.dumps(rng.choice(strategies))))
+
+
+def _not_a_permutation(doc, rng):
+    rankings = [s["ranking"] for s in _entries(doc, "strategies") if isinstance(s.get("ranking"), list)]
+    if rankings:
+        ranking = rng.choice(rankings)
+        how = rng.choice(("drop", "repeat", "unknown"))
+        if how == "drop" and ranking:
+            ranking.pop(rng.randrange(len(ranking)))
+        elif how == "repeat" and ranking:
+            ranking.append(rng.choice(ranking))
+        else:
+            ranking.append(99)
+
+
+FAULTS = {
+    "wrong type": _wrong_type,
+    "bool as amount": _bool_amount,
+    "unknown field": _unknown_field,
+    "missing field": _missing_field,
+    "duplicate node": _duplicate_id("nodes"),
+    "duplicate edge id": _duplicate_id("edges"),
+    "dangling endpoint": _dangling,
+    "self-loop": _self_loop,
+    "unbounded": _unbounded,
+    "over the cap": _over_the_cap,
+    "threshold key 01": _key_with_zero,
+    "threshold above weight": _threshold_above_weight,
+    "undeclared owner": _undeclared_owner,
+    "duplicate owner": _duplicate_owner,
+    "not a permutation": _not_a_permutation,
+}
+
+
+@dataclass(frozen=True)
+class _Raised:
+    kind: type
+    message: str
+
+
+def _outcome(fn, *args):
+    """fn's result, or what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the two loaders must fail alike
+        return _Raised(type(exc), str(exc))
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(sorted(FAULTS)), max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_loader_matches_the_reference_loader(seed, faults):
+    """The compiled loader and the entry-by-entry reference loader agree on
+    valid documents and on documents with one or two faults: the same
+    ``ParseError`` (or other error) message, or equal networks (edges,
+    adjacency both ways, externals, repr), profiles, validation reports and
+    compiled schedules."""
+    rng = random.Random(seed)
+    doc = _random_document(rng)
+    for fault in faults:
+        FAULTS[fault](doc, rng)
+    text = json.dumps(doc)
+    new, ref = _outcome(parse_document, text), _outcome(reference_parse_document, text)
+    if isinstance(new, _Raised) or isinstance(ref, _Raised):
+        assert new == ref
+        return
+    net, (ref_net, ref_profile) = new.network, ref
+    assert (net.nodes, net.external_assets, net.edges) == (
+        ref_net.nodes, ref_net.external_assets, ref_net.edges
+    )
+    assert net == FinancialNetwork.build(ref_net.nodes, ref_net.external_assets, ref_net.edges)
+    assert repr(net).removeprefix("FinancialNetwork") == repr(ref_net).removeprefix("ReferenceNetwork")
+    names = {*ref_net.out, *ref_net.into, *ref_profile.strategies, "ghost"}
+    for v in sorted(names):
+        unknown = _Raised(UnknownNodeError, f"unknown node {v!r}")
+        assert _outcome(net.out_edges, v) == ref_net.out.get(v, unknown)
+        assert _outcome(net.in_edges, v) == ref_net.into.get(v, unknown)
+        out = ref_net.out.get(v)
+        assert _outcome(net.out_ids, v) == (unknown if out is None else sorted(e.id for e in out))
+    assert net.debtors() == [v for v in ref_net.nodes if ref_net.out[v]]
+    for e in ref_net.edges:
+        assert net.edge(e.id) == ref_net.by_id[e.id]
+    assert new.profile == ref_profile
+    violations = reference_violations(ref_net)
+    assert validate_network(net).violations == violations
+    if not violations:
+        for strat in new.profile.strategies.values():
+            assert payment_segments(strat, net) == reference_payment_segments(strat, ref_net)
+
+
 class TestFixtures:
     def test_two_cycle_fixture(self, fixtures_dir):
         doc = load_document(fixtures_dir / "two_cycle.json")
@@ -581,6 +814,39 @@ def test_clear_validates_once_and_checks_each_strategy_once(tmp_path, monkeypatc
     assert "revenue = " in capsys.readouterr().out
     assert len(validations) == 1
     assert sorted(strat.owner for strat, _ in checks) == sorted(profile.strategies)
+
+
+def test_clear_and_export_dot_read_the_arrays(tmp_path, monkeypatch, capsys):
+    """``clear`` and ``export-dot`` read the network's arrays: they build no
+    ``LiabilityEdge`` and no threshold map, and call ``payment_segments``
+    zero times. ``clear`` still validates once and checks each strategy
+    once, and compiles each strategy once; ``validate`` and ``export-dot``
+    compile none."""
+    rng = random.Random(0)
+    net = random_net(rng, max_nodes=8, max_edges=16)
+    profile = random_profile(rng, net)
+    assert {type(s) for s in profile.strategies.values()} == {
+        EdgeRankingStrategy, ThresholdRankingStrategy
+    }
+    path = tmp_path / "net.json"
+    path.write_text(render_document(net, profile), encoding="utf-8")
+    built = _count_calls(monkeypatch, "__init__", (LiabilityEdge,))
+    maps = _count_calls(monkeypatch, "threshold_map", (ThresholdRankingStrategy,))
+    segments = _count_calls(monkeypatch, "payment_segments", (finclear_strategies,))
+    validations = _count_calls(monkeypatch, "validate_network", (cli, core))
+    checks = _count_calls(monkeypatch, "check_strategy", (finclear_io, clearing))
+    compiles = _count_calls(monkeypatch, "compiled_segments", (finclear_strategies, clearing))
+    assert cli.main(["clear", str(path)]) == 0
+    assert "revenue = " in capsys.readouterr().out
+    assert len(validations) == 1
+    assert sorted(strat.owner for strat, _ in checks) == sorted(profile.strategies)
+    assert sorted(strat.owner for strat, _ in compiles) == sorted(profile.strategies)
+    for command, header in (("validate", "ok"), ("export-dot", "digraph liabilities {")):
+        assert cli.main([command, str(path)]) == 0
+        assert capsys.readouterr().out.startswith(header)
+    assert len(compiles) == len(profile.strategies)
+    assert (built, maps, segments) == ([], [], [])
+    assert LiabilityEdge(0, "a", "b", 1).weight == 1 and len(built) == 1  # the counter counts
 
 
 def test_main_builds_one_parser_and_carries_no_state_between_calls(tmp_path, monkeypatch, capsys):
