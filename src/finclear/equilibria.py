@@ -103,8 +103,9 @@ class _Game:
     fixed point given it: the whole's upstream part is a fixed point
     upstream, and the pair built in order is one of the whole. A valid
     network has no self-loop, so a one-firm block lies on no cycle: the firm
-    holds its external plus its inflow and pays that down its schedule. A
-    larger block's payments on its members' out-slots depend only on its
+    holds its external plus its inflow, which its own strategy cannot change,
+    and pays that down its schedule; it never gains by deviating. A larger
+    block's payments on its members' out-slots depend only on its
     members' schedules and on what each member holds on entry, so they are
     memoized per game under (the ids of those schedules, those amounts); the
     entry holds the schedules, so no id in a live key is ever reused. On the
@@ -155,6 +156,7 @@ class _Game:
             out[i].append(k)
         blocks = [b for b in _blocks(range(len(out)), lambda i: [circ.dst[k] for k in out[i]]) if out[b[0]]]
         self.payers = [i for b in blocks for i in b]
+        self.block = {circ.nodes[i]: n for n, b in enumerate(blocks) if len(b) > 1 for i in b}
         self.blocks = [  # (members, their base out-slots, memo or None, payers before them)
             (b, [k for i in b for k in out[i]], {} if 1 < len(b) < len(self.firms) else None, start)
             for b, start in zip(blocks, itertools.accumulate(map(len, blocks), initial=0))
@@ -726,9 +728,9 @@ class EquilibriumReport:
 
 
 def _insolvent_firms(game: _Game, assets: Sequence[Money]) -> list[NodeId]:
-    """Firms whose strategy can matter: outgoing edges, insolvent in the state."""
+    """Firms that can gain by deviating: insolvent, not alone in their block (``game.block``)."""
     at = game.circ.index
-    return [v for v, owed in game.liabilities.items() if assets[at[v]] < owed]
+    return [v for v, owed in game.liabilities.items() if assets[at[v]] < owed and v in game.block]
 
 
 def is_nash(
@@ -740,9 +742,9 @@ def is_nash(
     """Check every firm against its exact best response.
 
     Solvent firms are skipped: replacing a solvent firm's strategy never
-    changes the maximal clearing state. A found witness settles NOT_NASH
-    conclusively; a NASH verdict is exhaustive only if every search finished
-    within budget.
+    changes the maximal clearing state; so are firms alone in their block
+    (``_Game``). A found witness settles NOT_NASH conclusively; a NASH
+    verdict is exhaustive only if every search finished within budget.
     """
     game = _Game(net, budget, space, profile)
     exhaustive = True
@@ -763,9 +765,9 @@ def is_nash(
 def _coalition_members(game: _Game, assets: Sequence[Money]) -> list[NodeId]:
     """Firms that can belong to the first profitable coalition found.
 
-    These are the firms insolvent in the base state ``assets`` with at least
-    two strategies (a single behavior cannot change anything). Dropping the
-    others changes no verdict and no witness:
+    These are the firms of ``_insolvent_firms`` in the base state ``assets``
+    with at least two strategies (a single behavior cannot change anything).
+    Dropping the others changes no verdict and no witness:
 
     * A coalition member v that is solvent in the base state and strictly
       gains is solvent in the deviated state too.
@@ -777,29 +779,33 @@ def _coalition_members(game: _Game, assets: Sequence[Money]) -> list[NodeId]:
       otherwise the coalition without v reaches the same state, every other
       member still strictly gains, and that smaller coalition is tested
       first, since coalitions are tried by ascending size.
-    * The first witness therefore has no such member, and the coalitions
-      and joint deviations tried before it over the kept firms are, in
-      order, a subsequence of those tried over all firms. Verdicts and
-      witnesses are identical.
+    * The first witness therefore has no such member, nor a firm alone in
+      its block: it lies in one block (``_is_strong``), and such a firm
+      never gains alone (``_Game``). The coalitions and joint deviations
+      tried before it over the kept firms are, in order, a subsequence of
+      those tried over all firms. Verdicts and witnesses are identical.
     """
-    members = []
-    for v in sorted(_insolvent_firms(game, assets), key=node_key):
+    firms = sorted(_insolvent_firms(game, assets), key=node_key)
+    for v in firms:
         game.strategies(v)
-        if game.space_size[v] >= 2:
-            members.append(v)
-    return members
+    return [v for v in firms if game.space_size[v] >= 2]
 
 
 def _is_strong(game: _Game, code: int) -> EquilibriumReport:
+    """The first profitable coalition by size, then ``combinations`` order,
+    of those inside one block (each block's, merged by position). If C gains
+    and B is a block of C reached by no other block of C, B's inflows stay,
+    so the smaller C ∩ B gains as in C: the first witness lies in one block."""
     base = game.clear(code)
     members = _coalition_members(game, base)
     at, stride, options = game.circ.index, game.stride, game.options
-    for size in range(1, len(members) + 1):
-        for coalition in itertools.combinations(members, size):
+    block = [game.block[v] for v in members]
+    groups = [[j for j, b in enumerate(block) if b == x] for x in set(block)]
+    for size in range(1, max(map(len, groups), default=0) + 1):
+        for positions in heapq.merge(*(itertools.combinations(g, size) for g in groups)):
+            coalition = tuple(members[j] for j in positions)
             start = code - sum(game.index(code, v) * stride[v] for v in coalition)
-            digits = [
-                [i * stride[v] for i in range(game.space_size[v])] for v in coalition
-            ]
+            digits = [[i * stride[v] for i in range(game.space_size[v])] for v in coalition]
             for combo in itertools.product(*digits):
                 game.meter.check_deadline()  # most of these profiles are table hits
                 after = game.clear(start + sum(combo))
@@ -822,12 +828,11 @@ def is_strong_equilibrium(
 ) -> EquilibriumReport:
     """Exhaustive coalition check: no group may deviate so all members strictly gain.
 
-    Coalitions are enumerated ascending by size over the firms whose strategy
-    can matter, joint deviations over the given space. For games whose
-    strategies stand for monotone integer schedules, the threshold space is
-    the right one: any coalition's coin-schedule deviation outcome is
-    reproduced by threshold strategies, so an exhaustive threshold verdict
-    certifies the full game.
+    Coalitions are tried in ``_is_strong``'s order, joint deviations over
+    the given space. For games whose strategies stand for monotone integer
+    schedules, the threshold space is the right one: any coalition's
+    coin-schedule deviation outcome is reproduced by threshold strategies,
+    so an exhaustive threshold verdict certifies the full game.
     """
     game = _Game(net, budget, space, profile)
     try:
@@ -854,9 +859,9 @@ class EnumerationResult:
 
 
 def _deviates(game: _Game, code: int, assets: Sequence[Money]) -> bool:
-    """Whether a firm insolvent in ``code``'s state ``assets`` gains by
-    switching alone to another of its strategies; each firm's digit is
-    decoded once, and its options are tried in index order."""
+    """Whether a firm of ``_insolvent_firms`` in ``code``'s state ``assets``
+    gains by switching alone to another of its strategies; each firm's digit
+    is decoded once, and its options are tried in index order."""
     at = game.circ.index
     for v in _insolvent_firms(game, assets):
         count = len(game.strategies(v))
@@ -1192,17 +1197,14 @@ def welfare_metrics(
     else:
         opt = net.total_external() if best_rev is None else best_rev
     nash_revs = [sum(game.clear(code)) for code, _ in found]
-    strong_revs = [
-        sum(game.clear(code)) for code, report in found if report.verdict is Verdict.STRONG
-    ]
+    strong_revs = [rev for rev, (_, r) in zip(nash_revs, found) if r.verdict is Verdict.STRONG]
     if compute_d:
         d = _min_max_cycle_d(game.circ, fstar, budget)
     elif fstar.total() == 0:
         d = CycleBound(0, True)
     else:
         d = CycleBound(decompose_circulation(game.circ, fstar).max_cycle_length(), False)
-    best_eq = max(nash_revs) if nash_revs else None
-    worst_eq = min(nash_revs) if nash_revs else None
+    best_eq, worst_eq = (max(nash_revs), min(nash_revs)) if nash_revs else (None, None)
     return WelfareMetrics(
         opt_revenue=opt,
         best_eq_revenue=best_eq,

@@ -98,11 +98,9 @@ def check_strategy(strat: RankingStrategy, net: FinancialNetwork) -> None:
                 f"thresholds of {strat.owner!r} must cover exactly its outgoing edges"
             )
         for e_id, tau in taus.items():
-            cap = net.weights[net.slot[e_id]]
-            if not (0 <= tau <= cap):
-                raise StrategyError(
-                    f"threshold {tau} on edge {e_id} outside [0, {cap}]"
-                )
+            cap = net.weights[net.slot[e_id]]  # an unbounded edge sets no upper bound
+            if tau < 0 or (cap is not UNBOUNDED and tau > cap):
+                raise StrategyError(f"threshold {tau} on edge {e_id} outside [0, {cap}]")
 
 
 def compiled_segments(strat: RankingStrategy, net: FinancialNetwork) -> list[tuple[int, Money]]:

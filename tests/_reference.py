@@ -390,7 +390,7 @@ def reference_check_strategy(strat: RankingStrategy, net: ReferenceNetwork) -> N
             )
         for e_id, tau in taus.items():
             cap = net.by_id[e_id].weight
-            if not (0 <= tau <= cap):
+            if tau < 0 or (cap is not UNBOUNDED and tau > cap):
                 raise StrategyError(f"threshold {tau} on edge {e_id} outside [0, {cap}]")
 
 

@@ -30,7 +30,7 @@ from finclear import (
     save_document,
     validate_network,
 )
-from finclear.core import UnknownNodeError
+from finclear.core import FinclearError, UnknownNodeError
 from finclear.strategies import payment_segments
 from _reference import (
     reference_parse_document,
@@ -559,6 +559,7 @@ def test_loader_matches_the_reference_loader(seed, faults):
     new, ref = _outcome(parse_document, text), _outcome(reference_parse_document, text)
     if isinstance(new, _Raised) or isinstance(ref, _Raised):
         assert new == ref
+        assert issubclass(new.kind, FinclearError)  # never a crash that both loaders share
         return
     net, (ref_net, ref_profile) = new.network, ref
     assert (net.nodes, net.external_assets, net.edges) == (
@@ -925,6 +926,22 @@ def test_clear_checks_a_profile_override_against_the_network(
                      encoding="utf-8")
     result = run_cli("clear", "--profile", str(other), str(net))
     assert (result.returncode, result.stdout, result.stderr) == (code, stdout, stderr)
+
+
+@pytest.mark.parametrize("strategy", [_threshold(), _ranking()], ids=["threshold", "edge-ranking"])
+@pytest.mark.parametrize("command", ["validate", "clear", "export-dot"])
+def test_a_strategy_on_an_unbounded_edge_loads_and_fails_validation(tmp_path, capsys, command, strategy):
+    """An unbounded edge sets no upper bound on its threshold, so the
+    document loads under either strategy kind, and validation rejects the
+    unbounded weight with exit 2 and no traceback."""
+    path = tmp_path / "net.json"
+    path.write_text(_document(edges=[_edge(weight="unbounded")], strategies=[strategy]), encoding="utf-8")
+    code = cli.main([command, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in err
+    line = "unbounded-weight: edge 0 has unbounded weight outside a circulation network\n"
+    assert (out, err) == ((line, "") if command == "validate" else ("", line))
 
 
 def _reference_digits(n: int) -> str:

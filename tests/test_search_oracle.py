@@ -9,10 +9,12 @@ firms that are solvent on external assets alone.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import sys
 
+import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 import finclear.equilibria as equilibria
@@ -24,11 +26,14 @@ from finclear import (
     StrategyProfile,
     SatFormula,
     SearchBudget,
+    ThreeDmInstance,
+    ThreeDmVariant,
     ThresholdRankingStrategy,
     Verdict,
     DeviationWitness,
     best_response_exact,
     enumerate_equilibria,
+    gen_from_3dm,
     gen_from_sat,
     gen_spoa_family,
     is_nash,
@@ -40,6 +45,7 @@ from finclear import (
     top_cycle_increase,
     welfare_metrics,
 )
+from finclear import cli
 from finclear.clearing import clear_circulation
 from finclear.core import node_key, total_liabilities
 from finclear.equilibria import strategy_space
@@ -425,6 +431,183 @@ def test_block_clearing_matches_the_full_kernel_and_kleene(seed, space, shape, a
     assert calls
     for schedules, external, got in calls:
         assert got == full(schedules, external)
+
+
+def _modular_game(rng: random.Random, shape: str, space: SearchSpace, bound: int = 128) -> FinancialNetwork:
+    """A ``_modular_net`` drawn again while a firm has more than three
+    (threshold space) or four (edge space) out-edges, or the product over
+    its firms of (strategies + 1) exceeds ``bound``, as ``_small_game``
+    bounds the reference."""
+    big = 3 if space is SearchSpace.THRESHOLD else 4
+    while True:
+        net = _modular_net(rng, shape)
+        if any(len(net.out_edges(v)) > big for v in net.nodes):
+            continue
+        sizes = [len(strategy_space(net, v, space)) for v in net.nodes if net.out_edges(v)]
+        if math.prod(k + 1 for k in sizes) <= bound:
+            return net
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(SearchSpace)),
+    st.sampled_from(["parts", "parts", "singletons", "whole"]),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_block_aware_searches_match_the_brute_force_reference(seed, space, shape, with_fixed):
+    """On games of strongly connected parts joined into a DAG, the searches
+    skip firms alone in their block and try only coalitions inside one
+    block; the reference skips neither. Nash verdicts, strong verdicts with
+    their witnesses, and every equilibrium found (with fixed strategies or
+    without) are the same."""
+    rng = random.Random(seed)
+    net = _modular_game(rng, shape, space)
+    profiles = [random_profile(rng, net, threshold_p=0.5) for _ in range(3)]
+    for profile in profiles:
+        assert is_nash(net, profile, space) == ref_is_nash(net, profile, space)
+        strong = is_strong_equilibrium(net, profile, space=space)
+        assert strong == ref_is_strong(net, profile, space)
+    fixed = {}
+    if with_fixed:
+        fixed = {v: s for v, s in profiles[0].strategies.items() if rng.random() < 0.5}
+    result = enumerate_equilibria(net, space, fixed=fixed, check_strong=True)
+    assert result.exhaustive
+    found = [(f.profile, f.state, f.report) for f in result.findings]
+    assert found == ref_enumerate(net, space, fixed, check_strong=True)
+
+
+def _scc(net: FinancialNetwork) -> dict:
+    """Each node's strongly connected component of the liability graph, by networkx."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(net.nodes)
+    graph.add_edges_from((e.src, e.dst) for e in net.edges)
+    return {v: frozenset(c) for c in nx.strongly_connected_components(graph) for v in c}
+
+
+def _record_moves(monkeypatch, name: str) -> list:
+    """Wrap ``equilibria.<name>(game, code, ...)``: for each ``_Game.clear``
+    call made inside it, record (the wrapped call's arguments, the firms
+    whose strategy in the cleared profile differs from theirs in ``code``)."""
+    calls, inside = [], []
+    search, clear = getattr(equilibria, name), equilibria._Game.clear
+
+    def wrapped(game, code, *args):
+        inside.append((game, code, *args))
+        try:
+            return search(game, code, *args)
+        finally:
+            inside.pop()
+
+    def recorded(game, code):
+        if inside:
+            at = inside[-1][1]
+            moved = {v for v in game.options if game.index(code, v) != game.index(at, v)}
+            calls.append((inside[-1], moved))
+        return clear(game, code)
+
+    monkeypatch.setattr(equilibria, name, wrapped)
+    monkeypatch.setattr(equilibria._Game, "clear", recorded)
+    return calls
+
+
+THREE_DM = (ThreeDmInstance.of([3, 7, 8], [(8, 8, 3), (8, 3, 7)]), ThreeDmVariant.DECISION)
+THREE_DM_ARGV = [
+    "3dm", "--elements", "3,7,8", "--variant", "decision", "--triple", "8,8,3", "--triple", "8,3,7"
+]
+
+
+def test_deviation_checks_on_the_3dm_gadget_never_move_a_firm_alone_in_its_block(monkeypatch):
+    """The decision gadget of (8,8,3),(8,3,7): three 9-firm blocks, and
+    ``pool``, ``u1``, ``u2`` and the ``t`` firms each alone in theirs. No
+    deviation that ``_deviates`` clears moves a firm alone in its block,
+    though such firms are insolvent in the states it checks."""
+    net, profile, _ = gen_from_3dm(*THREE_DM)
+    scc = _scc(net)
+    alone = {v for v in net.debtors() if len(scc[v]) == 1}
+    assert alone == {"pool", "u1", "u2", "t3", "t7", "t8"}
+    calls = _record_moves(monkeypatch, "_deviates")
+    result = enumerate_equilibria(net, fixed=profile)
+    assert result.exhaustive and len(result.findings) == 8
+    assert calls and all(len(moved) == 1 for _, moved in calls)
+    assert not set().union(*(moved for _, moved in calls)) & alone
+    skipped = {
+        v for (game, _, assets), _ in calls for v in alone
+        if assets[game.circ.index[v]] < game.liabilities[v]
+    }
+    assert {"pool", "u1", "u2"} <= skipped
+
+
+def test_strong_checks_never_try_a_coalition_across_two_blocks(monkeypatch):
+    """Strong checks on ``"parts"`` games, in both spaces, in profiles where
+    insolvent firms with two strategies or more lie in two blocks of two
+    firms or more (about 90 checks in 1,500 games): no joint deviation tried
+    moves firms of two blocks, and the verdicts and witnesses equal those of
+    the reference, which tries every coalition."""
+    calls = _record_moves(monkeypatch, "_is_strong")
+    checked = 0
+    for seed in range(1500):
+        rng = random.Random(seed)
+        space = list(SearchSpace)[seed % 2]
+        net = _modular_game(rng, "parts", space, bound=2000)
+        scc = _scc(net)
+        cyclic = {v for v in net.debtors() if len(scc[v]) > 1 and len(strategy_space(net, v, space)) >= 2}
+        if len({scc[v] for v in cyclic}) < 2:
+            continue
+        for _ in range(5):
+            profile = random_profile(rng, net, threshold_p=0.5)
+            members = [v for v in _insolvent(net, _assets(net, profile)) if v in cyclic]
+            if len({scc[v] for v in members}) < 2:
+                continue
+            del calls[:]
+            report = is_strong_equilibrium(net, profile, space=space)
+            assert report == ref_is_strong(net, profile, space)
+            assert calls and all(len({scc[v] for v in moved}) <= 1 for _, moved in calls)
+            checked += 1
+    assert checked >= 60
+
+
+def _cli(capsys, *argv: str) -> tuple[int, str, str]:
+    code = cli.main(list(argv))
+    return (code, *capsys.readouterr())
+
+
+def test_a_budget_the_3dm_enumeration_used_to_exhaust_now_suffices(tmp_path, capsys):
+    """Skipping the deviations of firms alone in their block leaves about a
+    quarter of the table misses: ``--max-candidates 2000`` stopped this
+    enumeration with exit 3 (4,140 charges) and now lets it finish, with the
+    unbudgeted output."""
+    path = tmp_path / "3dm.json"
+    code, doc, _ = _cli(capsys, "gen", *THREE_DM_ARGV)
+    assert code == 0
+    path.write_text(doc, encoding="utf-8")
+    unbudgeted = _cli(capsys, "enumerate", str(path))
+    assert unbudgeted[0] == 0 and unbudgeted[1].startswith("8 equilibria\n")
+    assert _cli(capsys, "enumerate", "--max-candidates", "2000", str(path)) == unbudgeted
+
+
+def test_a_nash_check_spends_no_budget_on_a_firm_alone_in_its_block(tmp_path, capsys):
+    """u and v owe each other 1, and u also owes w 1: u, insolvent, is
+    searched in a few subsets. x, alone in its block, holds 1 and owes 2 to
+    each of b, c, d and e: its 24 rankings and their clears would take the
+    whole budget of 30, which made this check exit 3 with ``exhaustive =
+    false``. Its assets do not depend on its ranking, so it is not searched."""
+    nodes = [{"id": v, "external": int(v == "x")} for v in ("u", "v", "w", "x", "b", "c", "d", "e")]
+    edges = [("u", "v", 1), ("u", "w", 1), ("v", "u", 1)] + [("x", d, 2) for d in "bcde"]
+    doc = {
+        "nodes": nodes,
+        "edges": [{"id": i, "src": s, "dst": d, "weight": w} for i, (s, d, w) in enumerate(edges)],
+        "strategies": [
+            {"owner": "u", "kind": "edge-ranking", "ranking": [0, 1]},
+            {"owner": "v", "kind": "edge-ranking", "ranking": [2]},
+            {"owner": "x", "kind": "edge-ranking", "ranking": [3, 4, 5, 6]},
+        ],
+    }
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    budgeted = _cli(capsys, "check", "--nash", "--max-candidates", "30", str(path))
+    assert budgeted == (0, "verdict = nash\nexhaustive = true\n", "")
+    assert _cli(capsys, "check", "--nash", str(path)) == budgeted
 
 
 C12_FORMULA = SatFormula.of(5, [(1, 2, -3), (1, -2, 4), (3, -4), (2, -3, 4, 5)])
