@@ -247,12 +247,13 @@ def kleene_clearing(
     the budget runs out, ``BudgetExhaustedError`` names the cap that did.
 
     Ranking strategies are monotone, so the iterates are monotone, integral
-    and between 0 and ``asset_ceiling``: each one before the fixed point
-    changes the asset sum, so there are at most sum(top) + 1 iterations. One
-    more raises ``InconsistentStateError``.
+    and between 0 and the top vector, ``asset_ceiling`` of every firm in
+    one pass over the edges: each iterate before the fixed point changes
+    the asset sum, so there are at most sum(top) + 1 iterations. One more
+    raises ``InconsistentStateError``.
     """
     _check_ranking_profile(net, profile)
-    top = {v: asset_ceiling(net, v) for v in net.nodes}
+    top = asset_ceiling(net)
     assets = top if start is KleeneStart.TOP else {v: 0 for v in net.nodes}
     cap = sum(top.values()) + 1
     payers = [profile.strategy_for(v) for v in net.debtors()]
@@ -339,11 +340,12 @@ def clear_pro_rata(net: FinancialNetwork, budget: SearchBudget | None = None) ->
     owed = {v: total_liabilities(net, v) for v in net.nodes}
     creditors: dict[NodeId, dict[NodeId, Money]] = {u: {} for u in net.nodes if owed[u] > 0}
     surplus = {v: net.external(v) - owed[v] for v in net.nodes}  # when all pay in full
-    for e in net.edges:
-        if e.src in creditors and e.weight:
-            owes = creditors[e.src]
-            owes[e.dst] = owes.get(e.dst, 0) + e.weight
-            surplus[e.dst] += e.weight
+    name = net.names.__getitem__
+    edges = list(zip(map(name, net.src), map(name, net.dst), net.weights))
+    for u, v, w in edges:
+        if u in creditors and w:
+            creditors[u][v] = creditors[u].get(v, 0) + w
+            surplus[v] += w
     shortfall: dict[NodeId, Fraction] = {}
     loss: dict[NodeId, Fraction] = {}  # what the defaulters' shortfalls cost each creditor
     meter = _Meter(budget) if budget is not None else None
@@ -363,7 +365,7 @@ def clear_pro_rata(net: FinancialNetwork, budget: SearchBudget | None = None) ->
             raise BudgetExhaustedError(f"stopped in round {rounds}: {exc}") from None
 
     paid = {u: 1 - shortfall.get(u, Fraction(0)) for u in creditors}
-    flows = [e.weight * paid[e.src] if e.src in paid else Fraction(0) for e in net.edges]
+    flows = [w * paid[u] if u in paid else Fraction(0) for u, _, w in edges]
     state = _clearing_state(net, flows, Fraction(0))
     for v, a in state.assets.items():
         if a < 0 or (v in paid and owed[v] * paid[v] != min(a, owed[v])):

@@ -186,6 +186,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_clear(args) -> int:
+    clashing = [flag for flag, value in (("--oracle", args.oracle), ("--profile", args.profile)) if value]
+    if args.pro_rata and clashing:  # pro-rata clearing uses no strategy
+        raise _UsageError(_build_parser(), "--pro-rata cannot be combined with " + " or ".join(clashing))
     doc = _read_document(args.network)
     net = _validated(doc)
     if args.pro_rata:

@@ -5,13 +5,12 @@ integer liability weight; each firm holds non-negative integer external assets.
 ``FinancialNetwork`` is one representation: the node order, the externals and
 the edges as id, source, target and weight arrays in id order, with a
 compressed out-adjacency. The loader and ``FinancialNetwork.build`` fill it,
-validation, rendering and clearing read the arrays, and the ``LiabilityEdge``
-views are built on first use for the searches, pro-rata clearing and the
-generators. ``build_circulation_network`` closes a valid network into a
-circulation with a source and compiles it once into the int arrays of
-``CirculationNetwork``, which the clearing kernel, the maximum-value
-circulation, the cycle bound, ``check_conservation`` and
-``decompose_circulation`` all read.
+and every engine reads the arrays; a ``LiabilityEdge`` is only an input
+record, for ``build`` and the generators. ``build_circulation_network``
+closes a valid network into a circulation with a source and compiles it
+once into the int arrays of ``CirculationNetwork``, which the clearing
+kernel, the maximum-value circulation, the cycle bound,
+``check_conservation`` and ``decompose_circulation`` all read.
 All arithmetic in this package is exact (ints, or ``fractions.Fraction`` for
 pro-rata clearing); nothing is ever represented in floating point.
 """
@@ -109,9 +108,6 @@ class LiabilityEdge:
     dst: NodeId
     weight: Weight
 
-    def is_unbounded(self) -> bool:
-        return isinstance(self.weight, UnboundedType)
-
 
 class FinancialNetwork:
     """Immutable directed multigraph of firms with liabilities and external assets.
@@ -123,15 +119,14 @@ class FinancialNetwork:
     k-th edge by ascending id (stably): ``ids[k]``, ``src[k]`` and ``dst[k]``
     (``names`` indices) and ``weights[k]``; ``slot`` maps an id to its last
     slot. The arrays are tuples and assignment is rejected, as the caches
-    assume that nothing changes: the out-adjacency (``out_ids``) and the
-    ``LiabilityEdge`` views (``edges``, ``out_edges``, ``in_edges``,
-    ``edge``) are built on first use. Construction never validates;
+    assume that nothing changes: the out-adjacency (``out_ids``) is built
+    on first use. Construction never validates;
     ``validate_network`` reports violations and keeps its report in
     ``_report``.
     """
 
     __slots__ = ("nodes", "external_assets", "names", "index", "ids", "src", "dst", "weights",
-                 "slot", "_out", "_views", "_report")
+                 "slot", "_out", "_report")
 
     def __init__(self, nodes: tuple[NodeId, ...], external_assets: dict[NodeId, Money],
                  ids: list[EdgeId], srcs: list[NodeId], dsts: list[NodeId], weights: list[Weight]) -> None:
@@ -152,7 +147,7 @@ class FinancialNetwork:
             names, src, dst = tuple(grown), tuple(src), tuple(dst)
         ids = tuple(ids)
         values = (nodes, external_assets, names, index, ids, src, dst, tuple(weights),
-                  dict(zip(ids, range(len(ids)))), None, None, None)
+                  dict(zip(ids, range(len(ids)))), None, None)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -178,8 +173,8 @@ class FinancialNetwork:
         for v, amount in ext.items():
             if v not in externals:
                 externals[v] = amount
-        edge_objs = [e if isinstance(e, LiabilityEdge) else LiabilityEdge(*e) for e in edges]
-        columns = [[getattr(e, field) for e in edge_objs] for field in ("id", "src", "dst", "weight")]
+        rows = [(e.id, e.src, e.dst, e.weight) if isinstance(e, LiabilityEdge) else e for e in edges]
+        columns = [list(col) for col in zip(*rows)] if rows else [[], [], [], []]
         return FinancialNetwork(node_tuple, externals, *columns)
 
     def __eq__(self, other: object) -> bool:
@@ -191,8 +186,10 @@ class FinancialNetwork:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
+        name = self.names.__getitem__
+        edges = tuple(map(LiabilityEdge, self.ids, map(name, self.src), map(name, self.dst), self.weights))
         return (f"FinancialNetwork(nodes={self.nodes!r}, "
-                f"external_assets={self.external_assets!r}, edges={self.edges!r})")
+                f"external_assets={self.external_assets!r}, edges={edges!r})")
 
     def _adjacency(self) -> tuple[list[EdgeId], list[int]]:
         """Every edge id grouped by payer, ascending within a group, and
@@ -208,7 +205,7 @@ class FinancialNetwork:
 
     def out_ids(self, v: NodeId) -> list[EdgeId]:
         """The ids of v's out-edges, ascending. Raises ``UnknownNodeError``
-        where ``out_edges`` does: v is neither declared nor an edge's source."""
+        if v is neither declared nor an edge's source."""
         by_payer, start = self._out or self._adjacency()
         i = self.index.get(v)
         if i is None or (i >= len(self.nodes) and start[i] == start[i + 1]):
@@ -220,41 +217,6 @@ class FinancialNetwork:
         start = self._adjacency()[1]
         return [v for v, a, b in zip(self.nodes, start, start[1:]) if a < b]
 
-    def _edge_views(self) -> tuple:
-        """(edges, out-edges by node, in-edges by node, edge by id), as
-        ``LiabilityEdge``s built on first use."""
-        if self._views is None:
-            edges = tuple(map(LiabilityEdge, self.ids, map(self.names.__getitem__, self.src),
-                              map(self.names.__getitem__, self.dst), self.weights))
-            out: dict[NodeId, list[LiabilityEdge]] = {v: [] for v in self.nodes}
-            into: dict[NodeId, list[LiabilityEdge]] = {v: [] for v in self.nodes}
-            for e in edges:
-                out.setdefault(e.src, []).append(e)
-                into.setdefault(e.dst, []).append(e)
-            views = (edges, *({v: tuple(es) for v, es in adj.items()} for adj in (out, into)),
-                     dict(zip(self.ids, edges)))
-            object.__setattr__(self, "_views", views)
-        return self._views
-
-    def _lookup(self, view: int, key, unknown: str):
-        try:
-            return self._edge_views()[view][key]
-        except KeyError:
-            raise UnknownNodeError(unknown.format(key)) from None
-
-    @property
-    def edges(self) -> tuple[LiabilityEdge, ...]:
-        return self._edge_views()[0]
-
-    def out_edges(self, v: NodeId) -> tuple[LiabilityEdge, ...]:
-        return self._lookup(1, v, "unknown node {!r}")
-
-    def in_edges(self, v: NodeId) -> tuple[LiabilityEdge, ...]:
-        return self._lookup(2, v, "unknown node {!r}")
-
-    def edge(self, edge_id: EdgeId) -> LiabilityEdge:
-        return self._lookup(3, edge_id, "unknown edge id {}")
-
     def external(self, v: NodeId) -> Money:
         return self.external_assets.get(v, 0)
 
@@ -265,16 +227,22 @@ class FinancialNetwork:
 def total_liabilities(net: FinancialNetwork, v: NodeId) -> Money:
     """Sum of v's outgoing edge weights. Unbounded edges never appear in base networks."""
     total = 0
-    for e in net.out_edges(v):
-        if e.is_unbounded():
-            raise InconsistentStateError(f"unbounded liability on base edge {e.id}")
-        total += e.weight
+    for e in net.out_ids(v):
+        w = net.weights[net.slot[e]]
+        if w is UNBOUNDED:
+            raise InconsistentStateError(f"unbounded liability on base edge {e}")
+        total += w
     return total
 
 
-def asset_ceiling(net: FinancialNetwork, v: NodeId) -> Money:
-    """External assets plus incoming finite capacity: a bound on v's assets."""
-    return net.external(v) + sum(e.weight for e in net.in_edges(v) if not e.is_unbounded())
+def asset_ceiling(net: FinancialNetwork) -> dict[NodeId, Money]:
+    """Each firm's external assets plus its incoming finite capacity: a bound
+    on its assets. One pass over the edges."""
+    ceiling = [net.external(v) for v in net.names]
+    for v, w in zip(net.dst, net.weights):
+        if w is not UNBOUNDED:
+            ceiling[v] += w
+    return dict(zip(net.nodes, ceiling))
 
 
 @dataclass(frozen=True)
@@ -377,7 +345,7 @@ class CirculationNetwork:
     surplus, so any clearing state extends to an exact circulation. Every
     engine reads these arrays. ``nodes``, the source among them, are in
     ``node_key`` order and ``index`` numbers them. Flow slot k < m is the
-    base edge ``base.edges[k]`` (``slot`` maps its id to k); node i has the
+    base edge in ``base``'s slot k (``slot`` maps its id to k); node i has the
     surplus slot m + 2i, to the source, and the source slot m + 2i + 1,
     from it, which carries ``external[i]``. ``src`` and ``dst`` hold each
     slot's node indices and ``ids`` its public edge id: the base ids, then

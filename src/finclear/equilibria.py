@@ -93,7 +93,7 @@ class _Game:
     charged once per game. The given strategies are checked and compiled
     once, here, and each searched option as its tuple is built, its home
     reusing the given schedule, so no clear compiles. Strategies built from
-    ``net.out_edges`` need no check, so no clear checks any.
+    ``net.out_ids`` need no check, so no clear checks any.
 
     A clear walks the strongly connected blocks of the liability graph in
     topological order (``_blocks`` on ``circ`` indices, once per game).
@@ -293,7 +293,7 @@ def strategy_space(
     if not out_ids:
         return ()
 
-    kind = {e: (net.edge(e).dst, net.edge(e).weight) for e in out_ids}
+    kind = {e: (net.dst[net.slot[e]], net.weights[net.slot[e]]) for e in out_ids}
     perms: Iterable[tuple[EdgeId, ...]] = itertools.permutations(out_ids)
     if len(set(kind.values())) < len(out_ids):  # some out-edges are interchangeable
         perms = (p for p in perms if all(
@@ -301,7 +301,7 @@ def strategy_space(
     if space is SearchSpace.EDGE:
         candidates: Iterable[RankingStrategy] = (EdgeRankingStrategy(v, p) for p in perms)
     else:
-        ranges = [range(net.edge(i).weight + 1) for i in out_ids]
+        ranges = [range(net.weights[net.slot[i]] + 1) for i in out_ids]
         candidates = (
             ThresholdRankingStrategy.of(v, p, dict(zip(out_ids, taus)))
             for p in perms
@@ -570,8 +570,8 @@ def _best_response_unit_subsets(
     net = game.net
     ext = net.external(v)
     out_ids = net.out_ids(v)
-    unit_ids = [e for e in out_ids if net.edge(e).weight == 1]
-    zero_ids = [e for e in out_ids if net.edge(e).weight == 0]
+    unit_ids = [e for e in out_ids if net.weights[net.slot[e]] == 1]
+    zero_ids = [e for e in out_ids if net.weights[net.slot[e]] == 0]
     payoffs = _ExactPayoffs(game, v)
 
     best_val = ext + payoffs.inflow(())
@@ -582,7 +582,7 @@ def _best_response_unit_subsets(
         pass
 
     try:
-        root_ub = min(ext + payoffs.inflow(unit_ids), asset_ceiling(net, v))
+        root_ub = min(ext + payoffs.inflow(unit_ids), asset_ceiling(net)[v])
 
         def grow(chosen: list[EdgeId], pool: Sequence[EdgeId]) -> None:
             nonlocal best_val, best_set
@@ -663,7 +663,7 @@ def _best_response(game: _Game, v: NodeId) -> BestResponse:
             # A solvent firm's strategy never changes the clearing state.
             return BestResponse(current, base, True, game.meter.used - used_before)
 
-    all_unit = all(e.weight <= 1 for e in net.out_edges(v))
+    all_unit = all(net.weights[net.slot[e]] <= 1 for e in net.out_ids(v))
     if game.space is SearchSpace.EDGE and all_unit:
         strategy, value, exhaustive = _best_response_unit_subsets(game, v)
         return BestResponse(strategy, value, exhaustive, game.meter.used - used_before)

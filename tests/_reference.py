@@ -1,7 +1,7 @@
 """Test-only code: the explicit circulation graph and strategy reconstruction.
 
 ``reference_circulation`` builds the circulation network edge by edge, as
-``LiabilityEdge``s in one ``FinancialNetwork``: the base nodes and edges,
+``LiabilityEdge``s in one ``ReferenceNetwork``: the base nodes and edges,
 then the source, one unbounded (v, source) edge per firm and one (source, v)
 edge of weight a^x_v per firm with positive external assets, ids numbered on
 from the largest base id, (v, source) block first, both blocks in node order.
@@ -25,6 +25,9 @@ a dict of tuples, and checks each strategy against that with
 ``reference_check_strategy``. ``reference_violations`` and
 ``reference_payment_segments`` are validation and the payment schedule over
 the same objects. They are the oracles of the compiled loader.
+``ReferenceNetwork.of`` reads the same records, with per-node edge tuples,
+off a ``FinancialNetwork``'s arrays: the package keeps only the arrays, and
+tests that walk edges one record at a time build them here.
 """
 
 from __future__ import annotations
@@ -80,24 +83,59 @@ from finclear.strategies import (
 )
 
 
-class ReferenceCirculation(FinancialNetwork):
+@dataclass(frozen=True)
+class ReferenceNetwork:
+    """A network as one ``LiabilityEdge`` per edge, sorted by id, and dicts
+    of per-node edge tuples (undeclared endpoints included)."""
+
+    nodes: tuple[NodeId, ...]
+    external_assets: dict[NodeId, Money]
+    edges: tuple[LiabilityEdge, ...]
+    out: dict = field(init=False, repr=False, compare=False)
+    into: dict = field(init=False, repr=False, compare=False)
+    by_id: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        out: dict[NodeId, list[LiabilityEdge]] = {v: [] for v in self.nodes}
+        into: dict[NodeId, list[LiabilityEdge]] = {v: [] for v in self.nodes}
+        for e in self.edges:
+            out.setdefault(e.src, []).append(e)
+            into.setdefault(e.dst, []).append(e)
+        object.__setattr__(self, "out", {v: tuple(es) for v, es in out.items()})
+        object.__setattr__(self, "into", {v: tuple(es) for v, es in into.items()})
+        object.__setattr__(self, "by_id", {e.id: e for e in self.edges})
+
+    @staticmethod
+    def of(net: FinancialNetwork) -> ReferenceNetwork:
+        """One record per slot of ``net``'s arrays."""
+        name = net.names.__getitem__
+        edges = map(LiabilityEdge, net.ids, map(name, net.src), map(name, net.dst), net.weights)
+        return ReferenceNetwork(net.nodes, net.external_assets, tuple(edges))
+
+    def out_edges(self, v: NodeId) -> tuple[LiabilityEdge, ...]:
+        try:
+            return self.out[v]
+        except KeyError:
+            raise UnknownNodeError(f"unknown node {v!r}") from None
+
+    def in_edges(self, v: NodeId) -> tuple[LiabilityEdge, ...]:
+        return self.into[v]
+
+    def edge(self, edge_id: EdgeId) -> LiabilityEdge:
+        """The last record with this id."""
+        return self.by_id[edge_id]
+
+
+@dataclass(frozen=True)
+class ReferenceCirculation(ReferenceNetwork):
     """The circulation network as an explicit graph: ``nodes`` are the base
     ones and the source, and ``edges`` the base ones followed by the
-    source's."""
+    source's. ``base`` is the base network's ``ReferenceNetwork``."""
 
-    def __init__(
-        self,
-        base: FinancialNetwork,
-        source: NodeId,
-        source_in: tuple[LiabilityEdge, ...],  # (v, s), unbounded, one per firm
-        source_out: tuple[LiabilityEdge, ...],  # (s, v), weight a^x_v, firms with a^x_v > 0
-    ) -> None:
-        edges = base.edges + source_in + source_out
-        columns = [[getattr(e, field) for e in edges] for field in ("id", "src", "dst", "weight")]
-        super().__init__(tuple(sorted_nodes((*base.nodes, source))), {}, *columns)
-        fields = {"base": base, "source": source, "source_in": source_in, "source_out": source_out}
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+    base: ReferenceNetwork
+    source: NodeId
+    source_in: tuple[LiabilityEdge, ...]  # (v, s), unbounded, one per firm
+    source_out: tuple[LiabilityEdge, ...]  # (s, v), weight a^x_v, firms with a^x_v > 0
 
     def surplus_edge(self, v: NodeId) -> LiabilityEdge:
         """The unbounded (v, source) edge carrying v's surplus."""
@@ -108,8 +146,9 @@ class ReferenceCirculation(FinancialNetwork):
 
 
 def reference_circulation(net: FinancialNetwork) -> ReferenceCirculation:
+    base = ReferenceNetwork.of(net)
     source = fresh_source_id(net.nodes)
-    next_id = max((e.id for e in net.edges), default=-1) + 1
+    next_id = max(net.ids, default=-1) + 1
     source_in = []
     for v in net.nodes:
         source_in.append(LiabilityEdge(next_id, v, source, UNBOUNDED))
@@ -119,7 +158,10 @@ def reference_circulation(net: FinancialNetwork) -> ReferenceCirculation:
         if net.external(v) > 0:
             source_out.append(LiabilityEdge(next_id, source, v, net.external(v)))
             next_id += 1
-    return ReferenceCirculation(net, source, tuple(source_in), tuple(source_out))
+    return ReferenceCirculation(
+        tuple(sorted_nodes((*net.nodes, source))), {}, base.edges + (*source_in, *source_out),
+        base, source, tuple(source_in), tuple(source_out),
+    )
 
 
 def reference_conservation(circ: ReferenceCirculation, flows: FlowAssignment) -> None:
@@ -197,10 +239,10 @@ def reference_max_value_circulation(circ: CirculationNetwork) -> FlowAssignment:
         adj[v].append(len(head) - 1)
 
     overdraft = [-x for x in circ.external]
-    for k, e in enumerate(net.edges):  # arc 2k reduces edge k; its residual is the flow
-        add_arc(src[k], dst[k], e.weight, 1)
-        overdraft[src[k]] += e.weight
-        overdraft[dst[k]] -= e.weight
+    for k, w in enumerate(net.weights):  # arc 2k reduces edge k; its residual is the flow
+        add_arc(src[k], dst[k], w, 1)
+        overdraft[src[k]] += w
+        overdraft[dst[k]] -= w
     for i, b in enumerate(overdraft):
         if b > 0:
             add_arc(S, i, b, 0)
@@ -282,7 +324,7 @@ def reference_max_value_circulation(circ: CirculationNetwork) -> FlowAssignment:
                 path.append(a)
                 u = head[a]
 
-    real = cap[: 2 * len(net.edges) : 2]
+    real = cap[: 2 * len(net.ids) : 2]
     surplus = circ.external.copy()
     for u, v, f in zip(src, dst, real):
         surplus[u] -= f
@@ -331,7 +373,7 @@ def threshold_from_flows(
     rest in ascending edge-id order. Only meaningful for firms insolvent in
     the state; a solvent firm's strategy never affects the clearing state.
     """
-    out = net.out_edges(v)
+    out = ReferenceNetwork.of(net).out_edges(v)
     if not out:
         raise StrategyError(f"{v!r} has no outgoing edges")
     if cs.assets.get(v, 0) >= total_liabilities(net, v):
@@ -340,40 +382,11 @@ def threshold_from_flows(
     if unpaid_top not in by_id:
         raise StrategyError(f"edge {unpaid_top} does not leave {v!r}")
     top = by_id[unpaid_top]
-    if top.is_unbounded() or cs.flows.get(unpaid_top) >= top.weight:
+    if top.weight is UNBOUNDED or cs.flows.get(unpaid_top) >= top.weight:
         raise StrategyError(f"edge {unpaid_top} carries full flow; pick an unpaid edge")
     ranking = (unpaid_top,) + tuple(sorted(e for e in by_id if e != unpaid_top))
     taus = {e.id: cs.flows.get(e.id) for e in out}
     return ThresholdRankingStrategy.of(v, ranking, taus)
-
-
-@dataclass(frozen=True)
-class ReferenceNetwork:
-    """A network as one ``LiabilityEdge`` per edge, sorted by id, and dicts
-    of per-node edge tuples (undeclared endpoints included)."""
-
-    nodes: tuple[NodeId, ...]
-    external_assets: dict[NodeId, Money]
-    edges: tuple[LiabilityEdge, ...]
-    out: dict = field(init=False, repr=False, compare=False)
-    into: dict = field(init=False, repr=False, compare=False)
-    by_id: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        out: dict[NodeId, list[LiabilityEdge]] = {v: [] for v in self.nodes}
-        into: dict[NodeId, list[LiabilityEdge]] = {v: [] for v in self.nodes}
-        for e in self.edges:
-            out.setdefault(e.src, []).append(e)
-            into.setdefault(e.dst, []).append(e)
-        object.__setattr__(self, "out", {v: tuple(es) for v, es in out.items()})
-        object.__setattr__(self, "into", {v: tuple(es) for v, es in into.items()})
-        object.__setattr__(self, "by_id", {e.id: e for e in self.edges})
-
-    def out_edges(self, v: NodeId) -> tuple[LiabilityEdge, ...]:
-        try:
-            return self.out[v]
-        except KeyError:
-            raise UnknownNodeError(f"unknown node {v!r}") from None
 
 
 def reference_check_strategy(strat: RankingStrategy, net: ReferenceNetwork) -> None:
@@ -430,7 +443,7 @@ def reference_violations(net: ReferenceNetwork) -> tuple[Violation, ...]:
             found.append(Violation("dangling-endpoint", f"edge {e.id} target {e.dst!r} is not declared"))
         if e.src == e.dst:
             found.append(Violation("self-loop", f"edge {e.id} loops on {e.src!r}"))
-        if e.is_unbounded():
+        if e.weight is UNBOUNDED:
             found.append(Violation("unbounded-weight", f"edge {e.id} has unbounded weight outside a circulation network"))
         elif e.weight < 0:
             found.append(Violation("negative-weight", f"edge {e.id} has weight {e.weight}"))
@@ -501,8 +514,9 @@ def reference_strategy_space(net: FinancialNetwork, v: NodeId, threshold: bool) 
     """Every permutation of v's out-edge ids in lexicographic order (with, in
     the threshold space, every threshold vector, ascending), the first
     candidate of each behavior kept."""
-    out_ids = sorted(e.id for e in net.out_edges(v))
-    ranges = [range(net.edge(e).weight + 1 if threshold else 1) for e in out_ids]
+    ref = ReferenceNetwork.of(net)
+    out_ids = sorted(e.id for e in ref.out_edges(v))
+    ranges = [range(ref.edge(e).weight + 1 if threshold else 1) for e in out_ids]
     kept: dict[tuple, RankingStrategy] = {}
     for p in itertools.permutations(out_ids):
         for taus in itertools.product(*ranges):

@@ -16,11 +16,13 @@ from finclear import (
     ThresholdRankingStrategy,
 )
 from finclear.core import EdgeId, Money, NodeId, total_liabilities
+from _reference import ReferenceNetwork
 
 
 def with_external(net: FinancialNetwork, v: NodeId, amount: Money) -> FinancialNetwork:
     """A copy of the network with one firm's external assets replaced."""
-    return FinancialNetwork.build(net.nodes, {**net.external_assets, v: amount}, net.edges)
+    edges = ReferenceNetwork.of(net).edges
+    return FinancialNetwork.build(net.nodes, {**net.external_assets, v: amount}, edges)
 
 
 def pro_rata_payment(net: FinancialNetwork, v: NodeId, y) -> dict[EdgeId, Fraction]:
@@ -29,7 +31,7 @@ def pro_rata_payment(net: FinancialNetwork, v: NodeId, y) -> dict[EdgeId, Fracti
     total = total_liabilities(net, v)
     return {
         e.id: min(Fraction(e.weight), Fraction(y) * e.weight / total) if total else Fraction(0)
-        for e in net.out_edges(v)
+        for e in ReferenceNetwork.of(net).out_edges(v)
     }
 
 
@@ -57,8 +59,9 @@ def random_profile(
 ) -> StrategyProfile:
     """One random strategy per indebted firm, mixing both ranking kinds."""
     strategies = []
+    ref = ReferenceNetwork.of(net)
     for v in net.nodes:
-        out = net.out_edges(v)
+        out = ref.out_edges(v)
         if not out:
             continue
         ranking = [e.id for e in out]

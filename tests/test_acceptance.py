@@ -46,7 +46,7 @@ from finclear import (
 )
 from finclear.core import build_circulation_network, total_liabilities
 from finclear.equilibria import max_value_circulation
-from _reference import active_segment, threshold_from_flows
+from _reference import ReferenceNetwork, active_segment, threshold_from_flows
 from _samplers import random_net, random_profile, with_external
 
 
@@ -60,11 +60,7 @@ def _gates(fixed: StrategyProfile, hub, pgate, qgate) -> StrategyProfile:
 
 def _ascending_profile(net) -> StrategyProfile:
     return StrategyProfile.of(
-        [
-            EdgeRankingStrategy(v, tuple(e.id for e in net.out_edges(v)))
-            for v in net.nodes
-            if net.out_edges(v)
-        ]
+        [EdgeRankingStrategy(v, tuple(net.out_ids(v))) for v in net.debtors()]
     )
 
 
@@ -243,8 +239,9 @@ def test_c11_solvent_irrelevance_and_threshold_sufficiency():
         net = random_net(rng)
         profile = random_profile(rng, net)
         base = top_cycle_increase(net, profile)
+        ref = ReferenceNetwork.of(net)
         for v in net.nodes:
-            out = net.out_edges(v)
+            out = ref.out_edges(v)
             if not out:
                 continue
             if base.assets[v] >= total_liabilities(net, v):

@@ -24,6 +24,7 @@ from finclear import clearing, cli
 from finclear.clearing import BudgetExhaustedError, ProfileError
 from finclear.core import InconsistentStateError, asset_ceiling
 from finclear.io import load_network, render_document
+from _reference import ReferenceNetwork
 from _samplers import pro_rata_payment, random_net, random_profile, with_external
 
 
@@ -245,7 +246,7 @@ def _pro_rata_map(net: FinancialNetwork, assets) -> dict:
     for v in net.nodes:
         flows.update(pro_rata_payment(net, v, assets[v]))
     new = {v: Fraction(net.external(v)) for v in net.nodes}
-    for e in net.edges:
+    for e in ReferenceNetwork.of(net).edges:
         new[e.dst] += flows.get(e.id, 0)
     return new
 
@@ -253,7 +254,8 @@ def _pro_rata_map(net: FinancialNetwork, assets) -> dict:
 def _pro_rata_net(rng: random.Random) -> FinancialNetwork:
     """Up to 8 firms; some edges weigh 0, so some debtors owe nothing."""
     net = random_net(rng, max_nodes=8, max_edges=16)
-    edges = [(e.id, e.src, e.dst, e.weight * (rng.random() > 0.1)) for e in net.edges]
+    records = ReferenceNetwork.of(net).edges
+    edges = [(e.id, e.src, e.dst, e.weight * (rng.random() > 0.1)) for e in records]
     return FinancialNetwork.build(net.nodes, net.external_assets, edges)
 
 
@@ -269,7 +271,7 @@ def test_pro_rata_is_the_fixed_point_below_every_jacobi_iterate(seed):
     assets = result.state.assets
     assert result.converged and result.iterations <= len(net.nodes)
     assert _pro_rata_map(net, assets) == assets
-    iterate = {v: Fraction(asset_ceiling(net, v)) for v in net.nodes}
+    iterate = {v: Fraction(x) for v, x in asset_ceiling(net).items()}
     for _ in range(40):
         assert all(iterate[v] >= assets[v] for v in net.nodes)
         following = _pro_rata_map(net, iterate)
@@ -277,11 +279,11 @@ def test_pro_rata_is_the_fixed_point_below_every_jacobi_iterate(seed):
             assert iterate == assets
             break
         iterate = following
-    creditors = {v: {e.dst for e in net.out_edges(v) if e.weight} for v in net.nodes}
+    ref = ReferenceNetwork.of(net)
+    creditors = {v: {e.dst for e in ref.out_edges(v) if e.weight} for v in net.nodes}
     if all(len(c) <= 1 for c in creditors.values()):
         profile = StrategyProfile.of(
-            [EdgeRankingStrategy(v, tuple(e.id for e in net.out_edges(v)))
-             for v in net.nodes if net.out_edges(v)]
+            [EdgeRankingStrategy(v, tuple(net.out_ids(v))) for v in net.debtors()]
         )
         assert top_cycle_increase(net, profile).assets == assets
 
@@ -290,9 +292,10 @@ def _relabelled(net: FinancialNetwork, rng: random.Random):
     names = [f"r{i}" for i in range(len(net.nodes))]
     rng.shuffle(names)
     rename = dict(zip(net.nodes, names))
-    ids = [e.id for e in net.edges]
+    ids = list(net.ids)
     rng.shuffle(ids)
-    edges = [(i, rename[e.src], rename[e.dst], e.weight) for i, e in zip(ids, net.edges)]
+    records = ReferenceNetwork.of(net).edges
+    edges = [(i, rename[e.src], rename[e.dst], e.weight) for i, e in zip(ids, records)]
     externals = {rename[v]: x for v, x in net.external_assets.items()}
     return FinancialNetwork.build(names, externals, edges), rename
 
@@ -318,7 +321,7 @@ def test_pro_rata_metamorphic_properties(seed, extra, k):
     scaled = FinancialNetwork.build(
         net.nodes,
         {v: k * x for v, x in net.external_assets.items()},
-        [(e.id, e.src, e.dst, k * e.weight) for e in net.edges],
+        [(e.id, e.src, e.dst, k * e.weight) for e in ReferenceNetwork.of(net).edges],
     )
     assert clear_pro_rata(scaled).state.assets == {v: k * a for v, a in assets.items()}
 

@@ -32,7 +32,12 @@ from finclear.core import (
     total_liabilities,
 )
 from finclear.equilibria import max_value_circulation
-from _reference import reference_circulation, reference_conservation, reference_decompose
+from _reference import (
+    ReferenceNetwork,
+    reference_circulation,
+    reference_conservation,
+    reference_decompose,
+)
 from _samplers import random_profile, with_external
 
 
@@ -68,9 +73,10 @@ def chain_net() -> FinancialNetwork:
 
 
 def state_for(net: FinancialNetwork, flows: dict[int, int]) -> ClearingState:
-    full = {e.id: flows.get(e.id, 0) for e in net.edges}
+    ref = ReferenceNetwork.of(net)
+    full = {e.id: flows.get(e.id, 0) for e in ref.edges}
     internal = {
-        v: sum(full[e.id] for e in net.in_edges(v)) for v in net.nodes
+        v: sum(full[e.id] for e in ref.in_edges(v)) for v in net.nodes
     }
     assets = {v: net.external(v) + internal[v] for v in net.nodes}
     return ClearingState(
@@ -89,7 +95,8 @@ class TestBuild:
         net = FinancialNetwork.build(
             ["a", "b"], {}, [(5, "a", "b", 1), (2, "b", "a", 1)]
         )
-        assert [e.id for e in net.edges] == [2, 5]
+        assert net.ids == (2, 5)
+        assert [net.names[i] for i in net.src] == ["b", "a"]
 
     def test_nodes_sorted_shortlex(self):
         # "n2" before "n10": shorter ids come first, so numbered ids stay natural.
@@ -100,11 +107,11 @@ class TestBuild:
         net = FinancialNetwork.build(
             ["a", "b"], {}, [LiabilityEdge(0, "a", "b", 1), (1, "b", "a", 2)]
         )
-        assert net.edge(1).weight == 2
+        assert net.weights[net.slot[1]] == 2
 
-    def test_out_edges_unknown_node_raises(self):
+    def test_out_ids_unknown_node_raises(self):
         with pytest.raises(UnknownNodeError):
-            chain_net().out_edges("zz")
+            chain_net().out_ids("zz")
 
     def test_with_external_replaces_only_one_firm(self):
         net = with_external(chain_net(), "b", 7)
@@ -201,7 +208,7 @@ class TestCirculation:
         circ = reference_circulation(net)
         # One unbounded surplus edge per firm; source-out only where externals are positive.
         assert {e.src for e in circ.source_in} == set(net.nodes)
-        assert all(e.is_unbounded() for e in circ.source_in)
+        assert all(e.weight is UNBOUNDED for e in circ.source_in)
         assert [(e.dst, e.weight) for e in circ.source_out] == [("a", 2)]
 
     def test_invalid_base_network_rejected(self):

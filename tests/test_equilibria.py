@@ -52,6 +52,7 @@ from finclear.clearing import ProfileError
 from finclear.equilibria import max_value_circulation, strategy_space
 from finclear.strategies import StrategyError
 from _reference import (
+    ReferenceNetwork,
     reference_circulation,
     reference_max_value_circulation,
     reference_strategy_space,
@@ -113,7 +114,7 @@ def test_strategy_space_keeps_every_behavior_in_order(seed, space):
         threshold = space is SearchSpace.THRESHOLD
         meter = equilibria._Meter(SearchBudget(10**7))
         assert strategy_space(net, v, space, meter=meter) == reference_strategy_space(net, v, threshold)
-        sizes = [net.edge(e).weight + 1 if threshold else 1 for e in net.out_ids(v)]
+        sizes = [net.weights[net.slot[e]] + 1 if threshold else 1 for e in net.out_ids(v)]
         assert meter.used <= math.factorial(len(sizes)) * math.prod(sizes)
 
 
@@ -142,17 +143,11 @@ class TestNash:
     def test_ring_with_shortcut_nash_revenue(self):
         net = gen_edge_spos_family(5, 10)
         profile = StrategyProfile.of(
-            [
-                EdgeRankingStrategy(v, tuple(e.id for e in net.out_edges(v)))
-                for v in net.nodes
-                if net.out_edges(v)
-            ]
+            [EdgeRankingStrategy(v, tuple(net.out_ids(v))) for v in net.debtors()]
         )
         # r1 prefers the long way around; everyone else has a single edge.
-        long_first = sorted(
-            (e.id for e in net.out_edges("r1")),
-            key=lambda i: net.edge(i).dst != "r5",
-        )
+        out = sorted(ReferenceNetwork.of(net).out_edges("r1"), key=lambda e: e.dst != "r5")
+        long_first = [e.id for e in out]
         profile = profile.replace(EdgeRankingStrategy("r1", tuple(long_first)))
         report = is_nash(net, profile)
         assert report.verdict is Verdict.NASH
@@ -310,7 +305,7 @@ def test_profiles_starving_an_optimal_cycle_are_never_strong(seed):
     circ = build_circulation_network(net)
     fstar = max_value_circulation(circ)
     decomp = decompose_circulation(circ, fstar)
-    real_ids = {e.id for e in net.edges}
+    real_ids = set(net.ids)
     real_cycles = [c for c in decomp.cycles if set(c) <= real_ids]
     if not real_cycles:
         return
@@ -368,7 +363,7 @@ def _network_simplex_optimum(circ) -> int:
     graph = nx.MultiDiGraph()
     graph.add_nodes_from(circ.nodes)
     for e in circ.edges:
-        if e.is_unbounded():
+        if e.weight is UNBOUNDED:
             graph.add_edge(e.src, e.dst, weight=-1)
         else:
             graph.add_edge(e.src, e.dst, capacity=e.weight, weight=-1)
@@ -385,7 +380,7 @@ def test_max_value_circulation_matches_network_simplex(net):
     assert fstar.total() == _network_simplex_optimum(graph)
     for e in graph.edges:
         assert fstar.get(e.id) >= 0
-        if not e.is_unbounded():
+        if e.weight is not UNBOUNDED:
             assert fstar.get(e.id) <= e.weight
     check_conservation(circ, fstar)
     for e in graph.source_out:
@@ -563,7 +558,7 @@ def test_block_clearing_runs_the_kernel_once_per_distinct_block_input(monkeypatc
     assert found.exhaustive and found.findings
     assert sorted(len(members) for members, *_ in game.blocks if len(members) > 1) == [9, 9, 9]
     misses = len(game.table)
-    candidates = sum(math.factorial(len(net.out_edges(v))) for v in game.options)
+    candidates = sum(math.factorial(len(net.out_ids(v))) for v in game.options)
     assert game.meter.used == misses + candidates == 546
     assert 0 < runs[0] and 10 * runs[0] < misses
 

@@ -48,7 +48,7 @@ def _families():
 
 
 @pytest.mark.parametrize(
-    "net", list(_families()), ids=lambda n: f"{len(n.nodes)}n{len(n.edges)}e"
+    "net", list(_families()), ids=lambda n: f"{len(n.nodes)}n{len(n.ids)}e"
 )
 def test_every_family_builds_a_valid_network(net):
     assert validate_network(net).ok
@@ -57,7 +57,7 @@ def test_every_family_builds_a_valid_network(net):
 class TestGadgetShapes:
     def test_no_nash_gadget(self):
         net, fixed = gen_no_nash()
-        assert len(net.nodes) == 9 and len(net.edges) == 12
+        assert len(net.nodes) == 9 and len(net.ids) == 12
         # Only the two gate firms hold external assets; single-creditor firms
         # have their (forced) strategies pinned in the profile.
         assert {v: net.external(v) for v in net.nodes if net.external(v)} == {
@@ -65,14 +65,14 @@ class TestGadgetShapes:
             "qgate": 2,
         }
         assert len(fixed.strategies) == 6
-        assert all(len(net.out_edges(v)) == 1 for v in fixed.strategies)
+        assert all(len(net.out_ids(v)) == 1 for v in fixed.strategies)
 
     def test_ring_game_sizes(self):
         # d central firms plus d-1 peripheral chains of d-2 firms each.
         for d in (3, 4, 5):
             net = gen_spoa_family(d)
             assert len(net.nodes) == d + (d - 1) * (d - 2)
-        assert len(gen_spoa_family(2).edges) == 3
+        assert len(gen_spoa_family(2).ids) == 3
 
     def test_parameter_floors(self):
         with pytest.raises(ValueError):
@@ -84,9 +84,8 @@ class TestGadgetShapes:
 
     def test_ring_with_shortcut_shape(self):
         net = gen_edge_spos_family(5, 10)
-        heavy = [e for e in net.edges if e.weight == 11]
-        assert len(heavy) == 3  # both r1 edges and the ring edge closing at r1
-        assert len(net.edges) == 6
+        assert net.weights.count(11) == 3  # both r1 edges and the ring edge closing at r1
+        assert len(net.ids) == 6
 
     def test_tiny_shortcut_game_has_no_welfare_gap(self):
         metrics = welfare_metrics(gen_edge_spos_family(4, 1), compute_d=False)

@@ -33,6 +33,7 @@ from finclear import (
 from finclear.core import FinclearError, UnknownNodeError
 from finclear.strategies import payment_segments
 from _reference import (
+    ReferenceNetwork,
     reference_parse_document,
     reference_payment_segments,
     reference_violations,
@@ -112,7 +113,7 @@ class TestParse:
             }
         )
         doc = parse_document(text)
-        assert doc.network.edge(0).weight is UNBOUNDED
+        assert doc.network.weights[doc.network.slot[0]] is UNBOUNDED
         report = validate_network(doc.network)
         assert "unbounded-weight" in {v.code for v in report.violations}
 
@@ -358,7 +359,7 @@ def test_parse_error_names_the_first_fault(text, message):
 
 def test_total_weight_at_the_cap_loads():
     doc = parse_document(_document(edges=[_edge(weight=2**61), _edge(id=1, weight=2**61 - 1)]))
-    assert sum(e.weight for e in doc.network.edges) + doc.network.external("a") == 2**62
+    assert sum(doc.network.weights) + doc.network.external("a") == 2**62
 
 
 def _random_document(rng: random.Random) -> dict:
@@ -366,7 +367,7 @@ def _random_document(rng: random.Random) -> dict:
     added parallel edges, strategies of both kinds for some indebted firms,
     and nodes and edges in shuffled order."""
     net = random_net(rng, max_nodes=6, max_edges=10, max_weight=5)
-    edges = [(e.id, e.src, e.dst, e.weight) for e in net.edges]
+    edges = [(e.id, e.src, e.dst, e.weight) for e in ReferenceNetwork.of(net).edges]
     for _ in range(rng.randint(0, 2)):
         _, u, v, w = rng.choice(edges)
         edges.append((edges[-1][0] + rng.randint(1, 3), u, v, rng.choice((w, rng.randint(0, 5)))))
@@ -548,9 +549,9 @@ def _outcome(fn, *args):
 def test_loader_matches_the_reference_loader(seed, faults):
     """The compiled loader and the entry-by-entry reference loader agree on
     valid documents and on documents with one or two faults: the same
-    ``ParseError`` (or other error) message, or equal networks (edges,
-    adjacency both ways, externals, repr), profiles, validation reports and
-    compiled schedules."""
+    ``ParseError`` (or other error) message, or equal networks (edge
+    records read off the arrays, the slot of each id, out-adjacency,
+    externals, repr), profiles, validation reports and compiled schedules."""
     rng = random.Random(seed)
     doc = _random_document(rng)
     for fault in faults:
@@ -562,21 +563,17 @@ def test_loader_matches_the_reference_loader(seed, faults):
         assert issubclass(new.kind, FinclearError)  # never a crash that both loaders share
         return
     net, (ref_net, ref_profile) = new.network, ref
-    assert (net.nodes, net.external_assets, net.edges) == (
-        ref_net.nodes, ref_net.external_assets, ref_net.edges
-    )
+    assert ReferenceNetwork.of(net) == ref_net
     assert net == FinancialNetwork.build(ref_net.nodes, ref_net.external_assets, ref_net.edges)
     assert repr(net).removeprefix("FinancialNetwork") == repr(ref_net).removeprefix("ReferenceNetwork")
     names = {*ref_net.out, *ref_net.into, *ref_profile.strategies, "ghost"}
     for v in sorted(names):
         unknown = _Raised(UnknownNodeError, f"unknown node {v!r}")
-        assert _outcome(net.out_edges, v) == ref_net.out.get(v, unknown)
-        assert _outcome(net.in_edges, v) == ref_net.into.get(v, unknown)
         out = ref_net.out.get(v)
         assert _outcome(net.out_ids, v) == (unknown if out is None else sorted(e.id for e in out))
     assert net.debtors() == [v for v in ref_net.nodes if ref_net.out[v]]
     for e in ref_net.edges:
-        assert net.edge(e.id) == ref_net.by_id[e.id]
+        assert ref_net.edges[net.slot[e.id]] == ref_net.by_id[e.id]
     assert new.profile == ref_profile
     violations = reference_violations(ref_net)
     assert validate_network(net).violations == violations
@@ -664,6 +661,21 @@ class TestCli:
         assert result.returncode == 0
         assert "a_u = 2/1" in result.stdout
         assert "a_v = 1/1" in result.stdout
+
+    def test_pro_rata_rejects_oracle_and_profile(self, fixtures_dir, tmp_path, capsys):
+        """Pro-rata clearing uses no strategy, so ``--oracle`` or ``--profile``
+        beside ``--pro-rata`` is a usage error rather than ignored, raised
+        before any file is read."""
+        doc, missing = str(fixtures_dir / "two_cycle.json"), str(tmp_path / "missing.json")
+        for flags, named in (
+            (["--oracle", "kleene-bottom"], "--oracle"),
+            (["--profile", missing], "--profile"),
+            (["--oracle", "kleene-bottom", "--profile", missing], "--oracle or --profile"),
+        ):
+            assert cli.main(["clear", "--pro-rata", *flags, doc]) == cli.EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.endswith(f"error: --pro-rata cannot be combined with {named}\n"), flags
 
     def test_kleene_oracle_stops_at_its_budget(self):
         """u and v owe each other W and hold nothing; v pays 1 to s first.
@@ -822,7 +834,9 @@ def test_clear_and_export_dot_read_the_arrays(tmp_path, monkeypatch, capsys):
     ``LiabilityEdge`` and no threshold map, and call ``payment_segments``
     zero times. ``clear`` still validates once and checks each strategy
     once, and compiles each strategy once; ``validate`` and ``export-dot``
-    compile none."""
+    compile none. No other subcommand builds a ``LiabilityEdge`` from the
+    parsed document either: not the searches, ``opt-se``, pro-rata clearing
+    or the Kleene oracle."""
     rng = random.Random(0)
     net = random_net(rng, max_nodes=8, max_edges=16)
     profile = random_profile(rng, net)
@@ -847,6 +861,14 @@ def test_clear_and_export_dot_read_the_arrays(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().out.startswith(header)
     assert len(compiles) == len(profile.strategies)
     assert (built, maps, segments) == ([], [], [])
+    firm = net.debtors()[0]
+    searches = (["best-response", "--firm", firm], ["check", "--nash"], ["check", "--strong"],
+                ["enumerate"], ["metrics"])
+    others = (["opt-se"], ["clear", "--pro-rata"], ["clear", "--oracle", "kleene-top"])
+    for argv in (*[[*a, "--max-candidates", "300"] for a in searches], *others):
+        assert cli.main([*argv, str(path)]) in (cli.EXIT_OK, cli.EXIT_EXHAUSTED)
+        assert capsys.readouterr().out
+        assert built == [], argv
     assert LiabilityEdge(0, "a", "b", 1).weight == 1 and len(built) == 1  # the counter counts
 
 

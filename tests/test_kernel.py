@@ -27,12 +27,13 @@ from finclear.core import (
     node_key,
 )
 from finclear.strategies import payment_segments
-from _reference import reference_circulation
+from _reference import ReferenceNetwork, reference_circulation
 from _samplers import random_profile, with_external
 
 
 def ref_clear(net, profile, cycle_rng=None) -> ClearingState:
     circ = reference_circulation(net)
+    base = circ.base
     order = sorted(circ.nodes, key=node_key)
     node_index = {v: i for i, v in enumerate(order)}
     n = len(order)
@@ -44,7 +45,7 @@ def ref_clear(net, profile, cycle_rng=None) -> ClearingState:
     schedules = [[] for _ in range(n)]
     for v in net.nodes:
         segs = []
-        if net.out_edges(v):
+        if base.out_edges(v):
             for e_id, length in payment_segments(profile.strategy_for(v), net):
                 segs.append((edge_pos[e_id], length))
         segs.append((edge_pos[circ.surplus_edge(v).id], None))
@@ -98,9 +99,9 @@ def ref_clear(net, profile, cycle_rng=None) -> ClearingState:
                     active_to[u] = edge_dst[active_edge[u]]
                 else:
                     seg_rem[u], active_edge[u], active_to[u] = None, -1, -1
-    edge_flows = {e.id: flows[edge_pos[e.id]] for e in net.edges}
+    edge_flows = {e.id: flows[edge_pos[e.id]] for e in base.edges}
     internal = {v: 0 for v in net.nodes}
-    for e in net.edges:
+    for e in base.edges:
         internal[e.dst] += edge_flows[e.id]
     assets = {v: net.external(v) + internal[v] for v in net.nodes}
     return ClearingState(assets, internal, FlowAssignment(edge_flows))
@@ -154,12 +155,13 @@ def _relabel(rng, net, profile):
     two renaming maps."""
     fresh = rng.sample(range(10 * len(net.nodes)), len(net.nodes))
     name = {v: f"x{k}" for v, k in zip(net.nodes, fresh)}
-    ids = rng.sample(range(10 * len(net.edges) + 1), len(net.edges))
-    eid = {e.id: k for e, k in zip(net.edges, ids)}
+    edges = ReferenceNetwork.of(net).edges
+    ids = rng.sample(range(10 * len(edges) + 1), len(edges))
+    eid = {e.id: k for e, k in zip(edges, ids)}
     relabelled = FinancialNetwork.build(
         name.values(),
         {name[v]: x for v, x in net.external_assets.items()},
-        [(eid[e.id], name[e.src], name[e.dst], e.weight) for e in net.edges],
+        [(eid[e.id], name[e.src], name[e.dst], e.weight) for e in edges],
     )
     strategies = []
     for v, s in profile.strategies.items():
@@ -180,7 +182,7 @@ def test_relabelling_nodes_and_edges_leaves_the_state_unchanged(seed):
     relabelled, mapped, name, eid = _relabel(rng, net, profile)
     after = top_cycle_increase(relabelled, mapped)
     assert {v: after.assets[name[v]] for v in net.nodes} == base.assets
-    assert {e.id: after.flows.get(eid[e.id]) for e in net.edges} == base.flows.flow
+    assert {e: after.flows.get(eid[e]) for e in net.ids} == base.flows.flow
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 1000))
@@ -191,7 +193,7 @@ def test_scaling_every_amount_by_k_scales_the_state_by_k(seed, k):
     scaled = FinancialNetwork.build(
         net.nodes,
         {v: k * x for v, x in net.external_assets.items()},
-        [(e.id, e.src, e.dst, k * e.weight) for e in net.edges],
+        [(e.id, e.src, e.dst, k * e.weight) for e in ReferenceNetwork.of(net).edges],
     )
     strategies = [
         ThresholdRankingStrategy.of(s.owner, s.ranking, {i: k * t for i, t in s.thresholds})

@@ -49,6 +49,7 @@ from finclear import cli
 from finclear.clearing import clear_circulation
 from finclear.core import node_key, total_liabilities
 from finclear.equilibria import strategy_space
+from _reference import ReferenceNetwork
 from _samplers import random_profile
 
 
@@ -58,14 +59,14 @@ def _assets(net, profile):
 
 def _insolvent(net, assets):
     return [
-        v for v in net.nodes if net.out_edges(v) and assets[v] < total_liabilities(net, v)
+        v for v in net.debtors() if assets[v] < total_liabilities(net, v)
     ]
 
 
 def _inflow_paying_exactly(net, profile, v, paid):
     """v's inflow when it pays exactly the unit edges ``paid``: drop its other
     out-edges and give it |paid| more external assets."""
-    edges = [e for e in net.edges if e.src != v or e.id in paid]
+    edges = [e for e in ReferenceNetwork.of(net).edges if e.src != v or e.id in paid]
     externals = {u: net.external(u) for u in net.nodes}
     externals[v] += len(paid)
     trimmed = FinancialNetwork.build(net.nodes, externals, edges)
@@ -86,11 +87,11 @@ def ref_best_response(net, profile, v, space):
     candidates = strategy_space(net, v, space)
     values = [_assets(net, profile.replace(s))[v] for s in candidates]
     best = max(values)
-    if space is SearchSpace.THRESHOLD or any(e.weight > 1 for e in net.out_edges(v)):
+    out = ReferenceNetwork.of(net).out_edges(v)
+    if space is SearchSpace.THRESHOLD or any(e.weight > 1 for e in out):
         return candidates[values.index(best)], best
-    out_ids = sorted(e.id for e in net.out_edges(v))
-    unit = [i for i in out_ids if net.edge(i).weight == 1]
-    zero = [i for i in out_ids if net.edge(i).weight == 0]
+    unit = [e.id for e in out if e.weight == 1]
+    zero = [e.id for e in out if e.weight == 0]
     for size in range(len(unit) + 1):
         for paid in itertools.combinations(unit, size):
             value = net.external(v) + _inflow_paying_exactly(net, profile, v, paid)
@@ -112,7 +113,7 @@ def ref_is_nash(net, profile, space):
 
 def ref_is_strong(net, profile, space):
     base = _assets(net, profile)
-    spaces = {v: strategy_space(net, v, space) for v in net.nodes if net.out_edges(v)}
+    spaces = {v: strategy_space(net, v, space) for v in net.debtors()}
     members = [
         v
         for v in sorted(spaces, key=node_key)
@@ -135,7 +136,7 @@ def ref_is_strong(net, profile, space):
 
 def _profiles(net, space, fixed):
     """Every profile of the non-fixed firms, in product order."""
-    firms = [v for v in net.nodes if net.out_edges(v) and v not in fixed]
+    firms = [v for v in net.debtors() if v not in fixed]
     for combo in itertools.product(*(strategy_space(net, v, space) for v in firms)):
         yield StrategyProfile.of({**fixed, **{s.owner: s for s in combo}})
 
@@ -188,7 +189,7 @@ def _small_game(rng: random.Random, space: SearchSpace) -> FinancialNetwork:
         ]
         externals = {v: rng.randint(0, 2) for v in names if rng.random() < 0.5}
         net = FinancialNetwork.build(names, externals, edges)
-        sizes = [len(strategy_space(net, v, space)) for v in net.nodes if net.out_edges(v)]
+        sizes = [len(strategy_space(net, v, space)) for v in net.debtors()]
         if math.prod(k + 1 for k in sizes) <= 128:
             return net
 
@@ -319,9 +320,9 @@ def test_game_clear_matches_kleene_on_every_searched_profile(seed, space):
     externals = {v: rng.randint(0, 2) for v in names if rng.random() < 0.5}
     net = FinancialNetwork.build(names, externals, edges)
     profile = random_profile(rng, net)
-    firms = [v for v in net.nodes if net.out_edges(v)]
+    firms = net.debtors()
     big = 3 if space is SearchSpace.THRESHOLD else 4
-    searched = [v for v in firms if rng.random() < 0.7 and len(net.out_edges(v)) <= big]
+    searched = [v for v in firms if rng.random() < 0.7 and len(net.out_ids(v)) <= big]
     sizes = {v: len(strategy_space(net, v, space)) for v in searched}
     while math.prod(sizes[v] for v in searched) > 300:
         searched.pop(rng.randrange(len(searched)))
@@ -383,9 +384,9 @@ def test_block_clearing_matches_the_full_kernel_and_kleene(seed, space, shape, a
     rng = random.Random(seed)
     net = _modular_net(rng, shape)
     profile = random_profile(rng, net, threshold_p=0.7)
-    firms = [v for v in net.nodes if net.out_edges(v)]
+    firms = net.debtors()
     big = 3 if space is SearchSpace.THRESHOLD else 4
-    searched = [v for v in firms if rng.random() < 0.7 and len(net.out_edges(v)) <= big]
+    searched = [v for v in firms if rng.random() < 0.7 and len(net.out_ids(v)) <= big]
     sizes = {v: len(strategy_space(net, v, space)) for v in searched}
     while math.prod(sizes[v] for v in searched) > 150:
         searched.pop(rng.randrange(len(searched)))
@@ -412,7 +413,7 @@ def test_block_clearing_matches_the_full_kernel_and_kleene(seed, space, shape, a
         assert game.clear(code) == tuple(expected.get(v, 0) for v in circ.nodes)
     if all_given:
         for v in firms:
-            unit = [e.id for e in net.out_edges(v) if e.weight == 1]
+            unit = [e for e in net.out_ids(v) if net.weights[net.slot[e]] == 1]
             payoffs = equilibria._ExactPayoffs(game, v)
             for size in range(len(unit) + 1):
                 for paid in itertools.combinations(unit, size):
@@ -420,7 +421,7 @@ def test_block_clearing_matches_the_full_kernel_and_kleene(seed, space, shape, a
                     trimmed = FinancialNetwork.build(
                         net.nodes,
                         {**net.external_assets, v: net.external(v) + size},
-                        [e for e in net.edges if e.src != v or e.id in paid],
+                        [e for e in ReferenceNetwork.of(net).edges if e.src != v or e.id in paid],
                     )
                     others = {u: s for u, s in profile.strategies.items() if u != v}
                     if paid:
@@ -441,9 +442,9 @@ def _modular_game(rng: random.Random, shape: str, space: SearchSpace, bound: int
     big = 3 if space is SearchSpace.THRESHOLD else 4
     while True:
         net = _modular_net(rng, shape)
-        if any(len(net.out_edges(v)) > big for v in net.nodes):
+        if any(len(net.out_ids(v)) > big for v in net.nodes):
             continue
-        sizes = [len(strategy_space(net, v, space)) for v in net.nodes if net.out_edges(v)]
+        sizes = [len(strategy_space(net, v, space)) for v in net.debtors()]
         if math.prod(k + 1 for k in sizes) <= bound:
             return net
 
@@ -481,7 +482,7 @@ def _scc(net: FinancialNetwork) -> dict:
     """Each node's strongly connected component of the liability graph, by networkx."""
     graph = nx.DiGraph()
     graph.add_nodes_from(net.nodes)
-    graph.add_edges_from((e.src, e.dst) for e in net.edges)
+    graph.add_edges_from((net.names[u], net.names[v]) for u, v in zip(net.src, net.dst))
     return {v: frozenset(c) for c in nx.strongly_connected_components(graph) for v in c}
 
 
@@ -633,7 +634,7 @@ def test_surgery_inflow_matches_a_rebuilt_network_for_every_subset(seed):
     profile = random_profile(rng, net)
     game = equilibria._Game(net, SearchBudget(), SearchSpace.EDGE, profile)
     for v in net.nodes:
-        unit = [e.id for e in net.out_edges(v) if e.weight == 1]
+        unit = [e for e in net.out_ids(v) if net.weights[net.slot[e]] == 1]
         payoffs = equilibria._ExactPayoffs(game, v)
         for size in range(len(unit) + 1):
             for paid in itertools.combinations(unit, size):
