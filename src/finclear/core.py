@@ -17,13 +17,14 @@ pro-rata clearing); nothing is ever represented in floating point.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import operator
 import time
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, TypeVar, Union
 
 NodeId = str
 EdgeId = int
@@ -32,6 +33,27 @@ Money = int
 # Loaders reject inputs whose total weight exceeds this; keeps every quantity
 # comfortably inside 64-bit range for downstream consumers of saved files.
 TOTAL_WEIGHT_CAP = 2**62
+
+_T = TypeVar("_T")
+
+
+def collector_paused(call: Callable[..., _T], *args) -> _T:
+    """``call(*args)`` with the cyclic garbage collector paused, and the
+    caller's setting restored on every exit, return or raise.
+
+    finclear builds no reference cycles, so reference counting frees all
+    that a call drops, and a generational collection meanwhile could only
+    walk the call's live, acyclic data: the parsed network, its strategies,
+    compiled schedules and kernel lists. A pause inside a pause changes
+    nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return call(*args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class FinclearError(Exception):

@@ -549,6 +549,53 @@ class _ExactPayoffs:
         return value
 
 
+class _Done(Exception):
+    """Ends the subset search: its best value has reached the upper bound."""
+
+
+def _grow(
+    payoffs: _ExactPayoffs, ext: Money, bound: Money,
+    chosen: list[EdgeId], pool: Sequence[EdgeId], best: list,
+) -> None:
+    """Extend ``chosen`` by each edge of ``pool`` in turn, depth-first, and
+    keep in ``best`` = [value, set] every strictly better self-supporting
+    set; raises ``_Done`` once the value reaches ``bound``."""
+    for k, e in enumerate(pool):
+        chosen.append(e)
+        val = ext + payoffs.inflow(chosen)
+        if len(chosen) > val:
+            chosen.pop()
+            continue  # not self-supporting; no superset can be
+        if val > best[0]:
+            best[:] = val, tuple(chosen)
+            if val >= bound:
+                raise _Done()
+        if val + (len(pool) - k - 1) > best[0]:
+            _grow(payoffs, ext, bound, chosen, pool[k + 1 :], best)
+        chosen.pop()
+
+
+def _first_hit(
+    payoffs: _ExactPayoffs, ext: Money, target: Money,
+    chosen: list[EdgeId], pool: Sequence[EdgeId], want: int,
+) -> list[EdgeId] | None:
+    """The first self-supporting set of ``want`` edges, ``chosen`` followed
+    by edges of ``pool`` in lexicographic order, whose value is ``target``."""
+    if len(chosen) == want:
+        return list(chosen) if ext + payoffs.inflow(chosen) == target else None
+    for k, e in enumerate(pool):
+        if len(chosen) + 1 + len(pool) - k - 1 < want:
+            return None
+        chosen.append(e)
+        val = ext + payoffs.inflow(chosen)
+        feasible = len(chosen) <= val and val + (want - len(chosen)) >= target
+        hit = _first_hit(payoffs, ext, target, chosen, pool[k + 1 :], want) if feasible else None
+        chosen.pop()
+        if hit is not None:
+            return hit
+    return None
+
+
 def _best_response_unit_subsets(
     game: _Game, v: NodeId
 ) -> tuple[EdgeRankingStrategy, Money, bool]:
@@ -560,12 +607,14 @@ def _best_response_unit_subsets(
     the optimal ranking's paid prefix is such a set, and conversely any
     self-supporting set yields a pre-fixed point for the ranking (sorted P,
     then the rest), so the maximal clearing state attains its value. The
-    search walks subsets depth-first; once a set is not self-supporting no
-    superset is (the Lipschitz property), which prunes the subtree, and the
-    value of a subtree is bounded by the current value plus the edges left.
-    Ties break to the smallest paid set, by size then lexicographic order.
-    The search charges each subset it clears; the closing check that the
-    ranking reproduces the value is not a candidate and is not charged.
+    search walks subsets depth-first (``_grow``); once a set is not
+    self-supporting no superset is (the Lipschitz property), which prunes
+    the subtree, and the value of a subtree is bounded by the current value
+    plus the edges left. Ties break to the smallest paid set, by size then
+    lexicographic order (``_first_hit``). The search charges each subset it
+    clears; the closing check that the ranking reproduces the value is not a
+    candidate and is not charged. Both walks are module-level functions, so
+    no call leaves a reference cycle through the game.
     """
     net = game.net
     ext = net.external(v)
@@ -574,62 +623,23 @@ def _best_response_unit_subsets(
     zero_ids = [e for e in out_ids if net.weights[net.slot[e]] == 0]
     payoffs = _ExactPayoffs(game, v)
 
-    best_val = ext + payoffs.inflow(())
-    best_set: tuple[EdgeId, ...] = ()
+    best = [ext + payoffs.inflow(()), ()]  # [value, paid set]
     exhausted = False
-
-    class _Done(Exception):
-        pass
-
     try:
         root_ub = min(ext + payoffs.inflow(unit_ids), asset_ceiling(net)[v])
-
-        def grow(chosen: list[EdgeId], pool: Sequence[EdgeId]) -> None:
-            nonlocal best_val, best_set
-            for k, e in enumerate(pool):
-                chosen.append(e)
-                val = ext + payoffs.inflow(chosen)
-                if len(chosen) > val:
-                    chosen.pop()
-                    continue  # not self-supporting; no superset can be
-                if val > best_val:
-                    best_val = val
-                    best_set = tuple(chosen)
-                    if best_val >= root_ub:
-                        raise _Done()
-                if val + (len(pool) - k - 1) > best_val:
-                    grow(chosen, pool[k + 1 :])
-                chosen.pop()
-
-        if unit_ids and best_val < root_ub:
-            grow([], unit_ids)
+        if unit_ids and best[0] < root_ub:
+            _grow(payoffs, ext, root_ub, [], unit_ids, best)
     except _Done:
         pass
     except _Exhausted:
         exhausted = True
+    best_val, best_set = best
 
     # Canonical representative: the first maximizing set by size, then lex.
     if not exhausted:
-        target = best_val
-
-        def first_hit(chosen: list[EdgeId], pool: Sequence[EdgeId], want: int):
-            if len(chosen) == want:
-                return list(chosen) if ext + payoffs.inflow(chosen) == target else None
-            for k, e in enumerate(pool):
-                if len(chosen) + 1 + len(pool) - k - 1 < want:
-                    return None
-                chosen.append(e)
-                val = ext + payoffs.inflow(chosen)
-                feasible = len(chosen) <= val and val + (want - len(chosen)) >= target
-                hit = first_hit(chosen, pool[k + 1 :], want) if feasible else None
-                chosen.pop()
-                if hit is not None:
-                    return hit
-            return None
-
         try:
             for size in range(0, len(best_set) + 1):
-                hit = first_hit([], unit_ids, size)
+                hit = _first_hit(payoffs, ext, best_val, [], unit_ids, size)
                 if hit is not None:
                     best_set = tuple(hit)
                     break
@@ -793,9 +803,28 @@ def _coalition_members(game: _Game, assets: Sequence[Money]) -> list[NodeId]:
 
 def _is_strong(game: _Game, code: int) -> EquilibriumReport:
     """The first profitable coalition by size, then ``combinations`` order,
-    of those inside one block (each block's, merged by position). If C gains
-    and B is a block of C reached by no other block of C, B's inflows stay,
-    so the smaller C ∩ B gains as in C: the first witness lies in one block."""
+    of those inside one block (each block's, merged by position), and its
+    first joint move in ``product`` order that changes every member.
+
+    If C gains and B is a block of C reached by no other block of C, B's
+    inflows stay, so the smaller C ∩ B gains as in C: the first witness lies
+    in one block.
+
+    Each member's digit list skips its current index, so the (coalition,
+    move) pairs tried are the ones of the walk over every option, in the
+    same order, less those that keep some member's strategy; no dropped
+    pair is the first witness of that walk. Let (C, x) keep the members K
+    and change C' = C minus K. If C' is empty, x is the base profile, where
+    no member gains. Else (C', x restricted to C') reaches the same profile,
+    every member of C' gains there if every member of C does, C' lies in
+    C's block, and it is smaller, so that walk tries it first. Hence the
+    first witness changes every member, the pairs tried here are an ordered
+    subsequence of that walk's that contains it, and verdicts and witnesses
+    are the same. A dropped move's profile, (C', x restricted to C') or the
+    base, is cleared before it here too, so the candidate charges are the
+    same. A coalition of m members with s options each tries (s - 1)^m
+    moves where the full walk tries s^m.
+    """
     base = game.clear(code)
     members = _coalition_members(game, base)
     at, stride, options = game.circ.index, game.stride, game.options
@@ -804,8 +833,12 @@ def _is_strong(game: _Game, code: int) -> EquilibriumReport:
     for size in range(1, max(map(len, groups), default=0) + 1):
         for positions in heapq.merge(*(itertools.combinations(g, size) for g in groups)):
             coalition = tuple(members[j] for j in positions)
-            start = code - sum(game.index(code, v) * stride[v] for v in coalition)
-            digits = [[i * stride[v] for i in range(game.space_size[v])] for v in coalition]
+            here = [game.index(code, v) for v in coalition]
+            start = code - sum(h * stride[v] for v, h in zip(coalition, here))
+            digits = [
+                [i * stride[v] for i in range(game.space_size[v]) if i != h]
+                for v, h in zip(coalition, here)
+            ]
             for combo in itertools.product(*digits):
                 game.meter.check_deadline()  # most of these profiles are table hits
                 after = game.clear(start + sum(combo))

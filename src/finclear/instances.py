@@ -403,13 +403,14 @@ def oracle_exact_cover(inst: ThreeDmInstance) -> bool:
     usable = sorted(
         {frozenset(t) for t in inst.triples if len(set(t)) == 3}, key=sorted
     )
+    return _covers(frozenset(inst.elements), usable)
 
-    def covers(remaining: frozenset) -> bool:
-        if not remaining:
-            return True
-        pivot = min(remaining)
-        return any(
-            covers(remaining - s) for s in usable if pivot in s and s <= remaining
-        )
 
-    return covers(frozenset(inst.elements))
+def _covers(remaining: frozenset, usable: list[frozenset]) -> bool:
+    """Whether disjoint sets of ``usable`` cover ``remaining`` exactly."""
+    if not remaining:
+        return True
+    pivot = min(remaining)
+    return any(
+        _covers(remaining - s, usable) for s in usable if pivot in s and s <= remaining
+    )

@@ -5,16 +5,16 @@ committed part of a strategy profile (``strategies``). Parsing is fail-loud:
 unknown fields, wrong types, and out-of-range values are rejected with the
 offending field's path. It fills the network's arrays straight from the JSON
 entries and checks each strategy against them, so loading builds no
-``LiabilityEdge``. Saving is canonical, so save(load(x)) is byte-identical for
-canonicalized files.
+``LiabilityEdge``. Rendering is canonical, so render(parse(x)) is
+byte-identical for canonicalized files.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import operator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quoted
 from typing import Any, Mapping
 
 from .core import (
@@ -23,6 +23,7 @@ from .core import (
     FinclearError,
     TOTAL_WEIGHT_CAP,
     Weight,
+    collector_paused,
     node_key,
     sorted_nodes,
 )
@@ -188,17 +189,12 @@ def parse_document(text: str) -> NetworkDocument:
     or ``_checked_edge``, which accept exactly such entries (or an
     ``"unbounded"`` weight) and name the first bad field of the first bad
     entry. A strategy entry that fails its inline test of the same kind goes
-    through ``_checked_strategy``. Each list is emptied once read. The cyclic
-    garbage collector is paused meanwhile: the JSON tree and all built from
-    it are acyclic, so a collection could only walk them.
+    through ``_checked_strategy``. Each list is emptied once read. Like every
+    command, the parse runs with the cyclic garbage collector paused
+    (``collector_paused``): the JSON tree and all built from it are acyclic,
+    so a collection could only walk them.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _parse(text)
-    finally:
-        if enabled:
-            gc.enable()
+    return collector_paused(_parse, text)
 
 
 def _parse(text: str) -> NetworkDocument:
@@ -256,10 +252,6 @@ def load_document(path: str) -> NetworkDocument:
         return parse_document(fh.read())
 
 
-def load_network(path: str) -> FinancialNetwork:
-    return load_document(path).network
-
-
 def _strategy_entry(strat: RankingStrategy) -> dict[str, Any]:
     if isinstance(strat, EdgeRankingStrategy):
         return {
@@ -303,14 +295,27 @@ def render_document(
         if profile is not None
         else [],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _indented(doc) + "\n"
 
 
-def save_document(
-    path: str, net: FinancialNetwork, profile: StrategyProfile | None = None
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_document(net, profile))
+def _indented(value: Any, margin: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for a tree of objects, arrays, strings
+    and ints whose text starts at indentation ``margin``. The standard
+    library's indented encoder is pure Python and makes a cycle of
+    self-recursive closures on every call; this renderer makes none."""
+    kind = type(value)
+    if kind is str:
+        return _quoted(value)
+    if kind is int:
+        return int.__repr__(value)
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = margin + "  "
+    if kind is dict:
+        items = [f"{_quoted(key)}: {_indented(item, inner)}" for key, item in value.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{margin}}}"
+    items = [_indented(item, inner) for item in value]
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{margin}]"
 
 
 def _dot_quote(name: str) -> str:

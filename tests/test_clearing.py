@@ -23,7 +23,7 @@ from finclear import (
 from finclear import clearing, cli
 from finclear.clearing import BudgetExhaustedError, ProfileError
 from finclear.core import InconsistentStateError, asset_ceiling
-from finclear.io import load_network, render_document
+from finclear.io import load_document, render_document
 from _reference import ReferenceNetwork
 from _samplers import pro_rata_payment, random_net, random_profile, with_external
 
@@ -204,7 +204,7 @@ class TestProRata:
         assert code == 0
         assert out[-1] == "converged = true"
         assert elapsed < 1.0
-        net = load_network(str(path))
+        net = load_document(str(path)).network
         printed = {
             line.split(" = ")[0][2:]: Fraction(line.split(" = ")[1]) for line in out[:-2]
         }

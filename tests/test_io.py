@@ -27,7 +27,6 @@ from finclear import (
     parse_document,
     render_document,
     render_dot,
-    save_document,
     validate_network,
 )
 from finclear.core import FinclearError, UnknownNodeError
@@ -67,7 +66,7 @@ class TestParse:
         text = sample_document()
         doc = parse_document(text)
         path = tmp_path / "net.json"
-        save_document(path, doc.network, doc.profile)
+        path.write_text(render_document(doc.network, doc.profile), encoding="utf-8")
         again = load_document(path)
         assert render_document(again.network, again.profile) == text
 
@@ -360,6 +359,23 @@ def test_parse_error_names_the_first_fault(text, message):
 def test_total_weight_at_the_cap_loads():
     doc = parse_document(_document(edges=[_edge(weight=2**61), _edge(id=1, weight=2**61 - 1)]))
     assert sum(doc.network.weights) + doc.network.external("a") == 2**62
+
+
+_JSON_TREES = st.recursive(
+    st.text() | st.integers(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON_TREES)
+@settings(max_examples=100, deadline=None)
+def test_documents_are_indented_as_json_dumps_indents_them(tree):
+    """``render_document`` indents its JSON itself, since the standard
+    library's indented encoder leaves a reference cycle per call; on any
+    tree of objects, arrays, strings (non-ASCII too) and ints it writes the
+    bytes ``json.dumps(tree, indent=2)`` writes."""
+    assert finclear_io._indented(tree) == json.dumps(tree, indent=2)
 
 
 def _random_document(rng: random.Random) -> dict:

@@ -15,7 +15,7 @@ import random
 import sys
 
 import networkx as nx
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import finclear.equilibria as equilibria
 from finclear import (
@@ -50,7 +50,7 @@ from finclear.clearing import clear_circulation
 from finclear.core import node_key, total_liabilities
 from finclear.equilibria import strategy_space
 from _reference import ReferenceNetwork
-from _samplers import random_profile
+from _samplers import random_net, random_profile
 
 
 def _assets(net, profile):
@@ -566,6 +566,47 @@ def test_strong_checks_never_try_a_coalition_across_two_blocks(monkeypatch):
             assert calls and all(len({scc[v] for v in moved}) <= 1 for _, moved in calls)
             checked += 1
     assert checked >= 60
+
+
+def test_a_strong_check_tries_only_moves_that_change_every_member(monkeypatch):
+    """On spoa d=7, a strong check of each strong equilibrium looks up at
+    most the product of its members' option counts: every tried move
+    changes every member of its coalition, so m members of two options each
+    try one move per coalition, 2^m lookups with the base profile's, where
+    giving each member its current option too tried 3^m."""
+    net = gen_spoa_family(7)
+    strong = [
+        finding.profile
+        for finding in enumerate_equilibria(net, check_strong=True).findings
+        if finding.report.verdict is Verdict.STRONG
+    ]
+    assert strong
+    calls, sizes = _record_moves(monkeypatch, "_is_strong"), []
+    for profile in strong:
+        del calls[:]
+        report = is_strong_equilibrium(net, profile)
+        assert report.verdict is Verdict.STRONG and report.exhaustive
+        (game, code), _ = calls[0]
+        members = equilibria._coalition_members(game, game.table[code])
+        assert len(calls) <= math.prod(game.space_size[v] for v in members)
+        sizes.append(len(members))
+    assert max(sizes) >= 2
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_coin_games_have_a_socially_optimal_strong_equilibrium(seed):
+    """Coin games have a socially optimal strong equilibrium (Bertschinger,
+    Hoefer & Schmand, ITCS 2020; ``optimal_strong_equilibrium``), so an
+    exhaustive threshold-space ``welfare_metrics`` finds both ratios to the
+    best equilibria equal to 1, on random games of up to 5 firms, 7 edges
+    and weight 3."""
+    net = random_net(random.Random(seed), max_nodes=5, max_edges=7, max_weight=3)
+    metrics = welfare_metrics(
+        net, space=SearchSpace.THRESHOLD, budget=SearchBudget(max_candidates=20_000), compute_d=False
+    )
+    assume(metrics.exhaustive)
+    assert metrics.pos == metrics.spos == 1
 
 
 def _cli(capsys, *argv: str) -> tuple[int, str, str]:
