@@ -1,8 +1,9 @@
 """Clearing-state computation.
 
 Four engines. ``clear_circulation`` is the kernel: it takes each node's
-compiled int schedule (``compile_schedule``) and an external vector, not a
-profile, and repeatedly pushes flow around cycles of "active" edges.
+compiled int schedule (``compile_schedule``, or ``schedules_from`` the
+segments a document was loaded with) and an external vector, not a profile,
+and repeatedly pushes flow around cycles of "active" edges.
 ``top_cycle_increase`` wraps it for edge/threshold-ranking profiles:
 strongly polynomial and exact. The searches' payoff table
 (``equilibria._Game``) runs the same kernel block by block, over the
@@ -24,7 +25,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Mapping
 
 from .core import (
     CirculationNetwork,
@@ -49,7 +50,6 @@ from .strategies import (
     StrategyProfile,
     ThresholdRankingStrategy,
     check_strategy,
-    compiled_segments,
     payment_vector,
 )
 
@@ -67,24 +67,16 @@ class KleeneStart(Enum):
     BOTTOM = "bottom"
 
 
-def _check_ranking_profile(net: FinancialNetwork, profile: StrategyProfile) -> None:
-    """Raise unless every firm with out-edges has a well-formed ranking strategy."""
-    for v in net.debtors():
-        _check_ranking(net, v, profile.strategy_for(v))
-
-
-def _check_ranking(net: FinancialNetwork, v: NodeId, strat) -> None:
-    """Raise ``ProfileError`` unless ``strat`` is a ranking strategy owned by
-    v, and ``StrategyError`` unless it is well-formed for v's out-edges."""
+def _check_ranking(net: FinancialNetwork, v: NodeId, strat) -> list[tuple[int, Money]] | None:
+    """``check_strategy``'s segments of ``strat``; ``ProfileError`` unless it
+    is a ranking strategy owned by v (and ``StrategyError`` if malformed)."""
     if strat is None:
         raise ProfileError(f"no strategy for firm {v!r} with outgoing edges")
     if not isinstance(strat, (EdgeRankingStrategy, ThresholdRankingStrategy)):
-        raise ProfileError(
-            f"firm {v!r} has a {type(strat).__name__}; ranking strategy required"
-        )
+        raise ProfileError(f"firm {v!r} has a {type(strat).__name__}; ranking strategy required")
     if strat.owner != v:
         raise ProfileError(f"firm {v!r} has a strategy owned by {strat.owner!r}")
-    check_strategy(strat, net)
+    return check_strategy(strat, net)
 
 
 def top_cycle_increase(
@@ -100,7 +92,6 @@ def top_cycle_increase(
     the knob exists so tests can demonstrate exactly that.
     """
     circ = build_circulation_network(net)
-    _check_ranking_profile(net, profile)
     schedules = [compile_schedule(circ, v, profile.strategy_for(v)) for v in circ.nodes]
     return cleared_state(circ, schedules, cycle_rng=cycle_rng)
 
@@ -108,18 +99,21 @@ def top_cycle_increase(
 def compile_schedule(
     circ: CirculationNetwork, v: NodeId, strat: RankingStrategy | None
 ) -> list[tuple[int, Money]]:
-    """v's payment schedule in ``circ``'s slots: its strategy's
-    ``compiled_segments`` (none for a firm without out-edges), then (its
-    surplus slot, ``circ.capacity``); the source's is empty. Raises
-    ``ProfileError`` for a firm with out-edges and no strategy."""
+    """v's payment schedule in ``circ``'s slots: ``_check_ranking``'s segments
+    (none for a firm without out-edges), then (its surplus slot,
+    ``circ.capacity``); the source's is empty."""
     if v == circ.source:
         return []
-    surplus = (len(circ.slot) + 2 * circ.index[v], circ.capacity)
-    if not circ.base.out_ids(v):
-        return [surplus]
-    if strat is None:
-        raise ProfileError(f"no strategy for firm {v!r} with outgoing edges")
-    return [*compiled_segments(strat, circ.base), surplus]
+    segments = _check_ranking(circ.base, v, strat) if circ.base.out_degree(v) else []
+    return [*segments, (len(circ.slot) + 2 * circ.index[v], circ.capacity)]
+
+
+def schedules_from(circ: CirculationNetwork, segments: Mapping[NodeId, list]) -> list[list]:
+    """Every node's ``compile_schedule`` from the segments the loader checked
+    and compiled (owner -> segments), which cover every firm with out-edges."""
+    m, room = len(circ.slot), circ.capacity
+    return [[] if v == circ.source else [*segments.get(v, ()), (m + 2 * i, room)]
+            for i, v in enumerate(circ.nodes)]
 
 
 def cleared_state(
@@ -252,7 +246,8 @@ def kleene_clearing(
     the asset sum, so there are at most sum(top) + 1 iterations. One more
     raises ``InconsistentStateError``.
     """
-    _check_ranking_profile(net, profile)
+    for v in net.debtors():
+        _check_ranking(net, v, profile.strategy_for(v))
     top = asset_ceiling(net)
     assets = top if start is KleeneStart.TOP else {v: 0 for v in net.nodes}
     cap = sum(top.values()) + 1

@@ -21,9 +21,7 @@ from . import clearing
 from .clearing import (
     BudgetExhaustedError,
     KleeneStart,
-    _check_ranking_profile,
     clear_pro_rata,
-    compile_schedule,
     kleene_clearing,
 )
 from .core import (
@@ -208,13 +206,14 @@ def _cmd_clear(args) -> int:
         override = _read_document(args.profile).profile
     profile = _full_profile(net, doc.profile, override)
     if args.oracle is None:
-        # The loader checked the document's strategies against net, but an
-        # override only against its own document. The clearing layers are
-        # looked up on their module, where per-layer tracing wraps them.
-        if override is not None:
-            _check_ranking_profile(net, profile)
+        # The loader compiled the document's strategies against net, but an
+        # override's against its own document. The clearing layers are looked
+        # up on their module, where per-layer tracing wraps them.
         circ = clearing.build_circulation_network(net)
-        schedules = [compile_schedule(circ, v, profile.strategy_for(v)) for v in circ.nodes]
+        if override is None:
+            schedules = clearing.schedules_from(circ, doc.segments)
+        else:
+            schedules = [clearing.compile_schedule(circ, v, profile.strategy_for(v)) for v in circ.nodes]
         state = clearing.cleared_state(circ, schedules, cycle_rng=_cycle_rng())
     else:
         start = KleeneStart.TOP if args.oracle == "kleene-top" else KleeneStart.BOTTOM
@@ -381,8 +380,7 @@ def _cmd_gen(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    doc = _read_document(args.network)
-    net = _validated(doc)
+    net = _validated(_read_document(args.network))  # drops the strategies and their schedules
     sys.stdout.write(render_dot(net))
     return EXIT_OK
 

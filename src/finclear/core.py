@@ -141,14 +141,16 @@ class FinancialNetwork:
     k-th edge by ascending id (stably): ``ids[k]``, ``src[k]`` and ``dst[k]``
     (``names`` indices) and ``weights[k]``; ``slot`` maps an id to its last
     slot. The arrays are tuples and assignment is rejected, as the caches
-    assume that nothing changes: the out-adjacency (``out_ids``) is built
-    on first use. Construction never validates;
+    assume that nothing changes: ``_start`` holds where each payer's
+    out-edges start in payer order, from its out-degree count
+    (``out_degree``, ``debtors``), and the out-adjacency (``out_ids``, which
+    sorts) is built on first use. Construction never validates;
     ``validate_network`` reports violations and keeps its report in
     ``_report``.
     """
 
     __slots__ = ("nodes", "external_assets", "names", "index", "ids", "src", "dst", "weights",
-                 "slot", "_out", "_report")
+                 "slot", "_start", "_out", "_report")
 
     def __init__(self, nodes: tuple[NodeId, ...], external_assets: dict[NodeId, Money],
                  ids: list[EdgeId], srcs: list[NodeId], dsts: list[NodeId], weights: list[Weight]) -> None:
@@ -167,9 +169,11 @@ class FinancialNetwork:
                     if col[-1] == len(grown):
                         grown.append(name)
             names, src, dst = tuple(grown), tuple(src), tuple(dst)
-        ids = tuple(ids)
+        ids, start = tuple(ids), [0] * (len(names) + 1)
+        for i in src:  # count each payer's out-edges
+            start[i + 1] += 1
         values = (nodes, external_assets, names, index, ids, src, dst, tuple(weights),
-                  dict(zip(ids, range(len(ids)))), None, None)
+                  dict(zip(ids, range(len(ids)))), list(itertools.accumulate(start)), None, None)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -213,30 +217,27 @@ class FinancialNetwork:
         return (f"FinancialNetwork(nodes={self.nodes!r}, "
                 f"external_assets={self.external_assets!r}, edges={edges!r})")
 
-    def _adjacency(self) -> tuple[list[EdgeId], list[int]]:
-        """Every edge id grouped by payer, ascending within a group, and
-        where the group of each ``names`` index starts."""
-        if self._out is None:
-            degree = [0] * (len(self.names) + 1)
-            for i in self.src:
-                degree[i + 1] += 1
-            order = sorted(range(len(self.ids)), key=self.src.__getitem__)
-            adjacency = [self.ids[k] for k in order], list(itertools.accumulate(degree))
-            object.__setattr__(self, "_out", adjacency)
-        return self._out
-
-    def out_ids(self, v: NodeId) -> list[EdgeId]:
-        """The ids of v's out-edges, ascending. Raises ``UnknownNodeError``
-        if v is neither declared nor an edge's source."""
-        by_payer, start = self._out or self._adjacency()
-        i = self.index.get(v)
+    def out_degree(self, v: NodeId) -> int:
+        """The number of v's out-edges. Raises ``UnknownNodeError`` if v is
+        neither declared nor an edge's source."""
+        start, i = self._start, self.index.get(v)
         if i is None or (i >= len(self.nodes) and start[i] == start[i + 1]):
             raise UnknownNodeError(f"unknown node {v!r}")
-        return by_payer[start[i] : start[i + 1]]
+        return start[i + 1] - start[i]
+
+    def out_ids(self, v: NodeId) -> list[EdgeId]:
+        """The ids of v's out-edges, ascending, from every edge id grouped by
+        payer (sorted on first use). Raises like ``out_degree``."""
+        degree = self.out_degree(v)
+        if self._out is None:
+            order = sorted(range(len(self.ids)), key=self.src.__getitem__)
+            object.__setattr__(self, "_out", [self.ids[k] for k in order])
+        first = self._start[self.index[v]]
+        return self._out[first : first + degree]
 
     def debtors(self) -> list[NodeId]:
         """The declared firms with at least one out-edge, in node order."""
-        start = self._adjacency()[1]
+        start = self._start
         return [v for v, a, b in zip(self.nodes, start, start[1:]) if a < b]
 
     def external(self, v: NodeId) -> Money:

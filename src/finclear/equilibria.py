@@ -56,7 +56,7 @@ from .strategies import (
     ThresholdRankingStrategy,
     behavior_signature,
 )
-from .clearing import _blocks, _check_ranking, cleared_state, clear_circulation, compile_schedule
+from .clearing import _blocks, cleared_state, clear_circulation, compile_schedule
 
 
 class SearchSpace(Enum):
@@ -90,10 +90,10 @@ class _Game:
     like ``circ.nodes``) per code, cleared on the first lookup; equal tuples
     are one object. The meter is charged per strategy candidate as a tuple
     is built and per table miss: each candidate and each distinct profile is
-    charged once per game. The given strategies are checked and compiled
-    once, here, and each searched option as its tuple is built, its home
-    reusing the given schedule, so no clear compiles. Strategies built from
-    ``net.out_ids`` need no check, so no clear checks any.
+    charged once per game. Each given strategy is checked and compiled in
+    one pass (``compile_schedule``) once, here, and each searched option as
+    its tuple is built, its home reusing the given schedule, so no clear
+    checks or compiles.
 
     A clear walks the strongly connected blocks of the liability graph in
     topological order (``_blocks`` on ``circ`` indices, once per game).
@@ -132,9 +132,6 @@ class _Game:
             given = given.strategies
         self.given = dict(given or {})
         self.firms = net.debtors()
-        for v in self.firms:
-            if v in self.given:
-                _check_ranking(net, v, self.given[v])
         self.liabilities = {v: total_liabilities(net, v) for v in self.firms}
         unset = set(self.firms).difference(self.given)
         self.base = [  # None for a firm with out-edges and no given strategy
@@ -907,16 +904,18 @@ def _deviates(game: _Game, code: int, assets: Sequence[Money]) -> bool:
 
 
 def _enumerate(
-    game: _Game, check_strong: bool
-) -> tuple[list[tuple[int, EquilibriumReport]], Money | None, bool]:
+    game: _Game, check_strong: bool, with_state: bool = False
+) -> tuple[list[tuple[int, EquilibriumReport, ClearingState | None]], Money | None, bool]:
     """One pass over every profile of the non-fixed firms, in product order.
 
-    Returns the equilibria as (code, report), the highest revenue of any
-    profile of the pass (None if none was cleared), and whether the pass
-    finished within budget.
+    Returns the equilibria as (code, report, state), the highest revenue of
+    any profile of the pass (None if none was cleared), and whether the pass
+    finished within budget. With ``with_state`` each equilibrium is cleared
+    again for its state as it is found, after a deadline check, so a pass
+    overruns its timeout by at most one kernel run and keeps every state.
     """
     firms = [v for v in game.firms if v not in game.given]
-    found: list[tuple[int, EquilibriumReport]] = []
+    found: list[tuple[int, EquilibriumReport, ClearingState | None]] = []
     best: Money | None = None
     try:
         for code in game.codes(firms):
@@ -929,7 +928,11 @@ def _enumerate(
                 report = _is_strong(game, code)
             else:
                 report = EquilibriumReport(Verdict.NASH, None, game.space, True)
-            found.append((code, report))
+            state = None
+            if with_state:
+                game.meter.check_deadline()
+                state = cleared_state(game.circ, game.schedules(code))
+            found.append((code, report, state))
     except _Exhausted:
         return found, best, False
     return found, best, True
@@ -951,11 +954,8 @@ def enumerate_equilibria(
     result certifies non-existence within the space.
     """
     game = _Game(net, budget, space, fixed)
-    found, _, exhaustive = _enumerate(game, check_strong)
-    findings = []
-    for code, report in found:
-        state = cleared_state(game.circ, game.schedules(code))
-        findings.append(EquilibriumFinding(game.profile(code), state, report))
+    found, _, exhaustive = _enumerate(game, check_strong, with_state=True)
+    findings = [EquilibriumFinding(game.profile(code), state, report) for code, report, state in found]
     return EnumerationResult(tuple(findings), exhaustive)
 
 
@@ -1229,8 +1229,8 @@ def welfare_metrics(
         opt = fstar.total() - net.total_external()
     else:
         opt = net.total_external() if best_rev is None else best_rev
-    nash_revs = [sum(game.clear(code)) for code, _ in found]
-    strong_revs = [rev for rev, (_, r) in zip(nash_revs, found) if r.verdict is Verdict.STRONG]
+    nash_revs = [sum(game.clear(code)) for code, _, _ in found]
+    strong_revs = [rev for rev, (_, r, _) in zip(nash_revs, found) if r.verdict is Verdict.STRONG]
     if compute_d:
         d = _min_max_cycle_d(game.circ, fstar, budget)
     elif fstar.total() == 0:

@@ -4,9 +4,10 @@ A document carries the network (``nodes``, ``edges``) and optionally the
 committed part of a strategy profile (``strategies``). Parsing is fail-loud:
 unknown fields, wrong types, and out-of-range values are rejected with the
 offending field's path. It fills the network's arrays straight from the JSON
-entries and checks each strategy against them, so loading builds no
-``LiabilityEdge``. Rendering is canonical, so render(parse(x)) is
-byte-identical for canonicalized files.
+entries, so loading builds no ``LiabilityEdge``, and checks and compiles each
+strategy against them in one pass, keeping its schedule for ``clear``.
+Rendering is canonical, so render(parse(x)) is byte-identical for
+canonicalized files.
 """
 
 from __future__ import annotations
@@ -44,8 +45,10 @@ class ParseError(FinclearError):
 
 @dataclass(frozen=True)
 class NetworkDocument:
+    """A network, its strategies, and their segments as loading compiled them, by owner."""
     network: FinancialNetwork
     profile: StrategyProfile
+    segments: Mapping[str, list[tuple[int, int]] | None]
 
 
 def _require_mapping(value: Any, path: str) -> Mapping[str, Any]:
@@ -180,8 +183,9 @@ def _columns(entries: list, fields: tuple[str, ...], types: tuple[type, ...]) ->
 
 
 def parse_document(text: str) -> NetworkDocument:
-    """Parse a network document straight into the network's arrays; its
-    strategies are checked against the network.
+    """Parse a network document straight into the network's arrays; each
+    strategy is checked against the network and compiled in one pass
+    (``check_strategy``), and the document keeps its schedule.
 
     A node or edge list is read a column at a time if every entry is an
     object of exactly its fields, of exact JSON types, with node ids distinct
@@ -239,12 +243,13 @@ def _parse(text: str) -> NetworkDocument:
     entries.clear()
     if len({s.owner for s in strategies}) != len(strategies):
         raise ParseError("strategies: duplicate owner")
+    segments = {}
     for strat in strategies:
         try:
-            check_strategy(strat, net)
+            segments[strat.owner] = check_strategy(strat, net)
         except FinclearError as exc:
             raise ParseError(f"strategies[{strat.owner}]: {exc}") from exc
-    return NetworkDocument(net, StrategyProfile.of(strategies))
+    return NetworkDocument(net, StrategyProfile.of(strategies), segments)
 
 
 def load_document(path: str) -> NetworkDocument:

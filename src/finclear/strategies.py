@@ -5,10 +5,12 @@ to saturation. Threshold-ranking makes two passes over a ranking: first up to
 a per-edge threshold, then the remainders. They are the monotone integer
 strategies the clearing and equilibrium machinery searches over; the
 non-strategic pro-rata baseline (``clear_pro_rata``) takes none. Both kinds are
-defined by one schedule, ``compiled_segments``: an ordered list of
-(edge slot, length) segments that the firm's assets fill one unit at a time
-(``payment_segments`` names the edges by id), compiled from the network's
-arrays when a clear needs it. An edge ranking is a threshold ranking with zero
+defined by one schedule: an ordered list of (edge slot, length) segments
+that the firm's assets fill one unit at a time (``payment_segments`` names
+the edges by id). ``check_strategy`` checks a strategy against the network's
+arrays and compiles its schedule in the same pass over its ranking; the
+loader calls it once per document strategy and keeps the schedules, which
+``clear`` reads. An edge ranking is a threshold ranking with zero
 thresholds, and threshold rankings suffice to reproduce any monotone integer
 schedule's clearing outcome.
 """
@@ -84,58 +86,53 @@ class StrategyProfile:
         return StrategyProfile(merged)
 
 
-def check_strategy(strat: RankingStrategy, net: FinancialNetwork) -> None:
-    """Raise StrategyError unless the strategy is well-formed for this network."""
-    out_ids = net.out_ids(strat.owner)
-    if sorted(strat.ranking) != out_ids:
-        raise StrategyError(
-            f"ranking of {strat.owner!r} is not a permutation of its outgoing edges"
-        )
+def check_strategy(strat: RankingStrategy, net: FinancialNetwork) -> list[tuple[int, Money]] | None:
+    """Check the strategy against ``net`` and compile it in one pass over its
+    ranking, into positive-length (slot, length) segments in ``net``'s edge
+    slots: the threshold segments, then the remainders (an edge ranking has
+    zero thresholds). The ranking is a permutation of the owner's out-edges,
+    with thresholds on exactly those, if each ranked edge is the owner's and
+    takes its own threshold, none is left over, and the ranking is as long as
+    the owner's out-degree. A strategy that fails a test is checked again
+    the slow way, which raises its first fault in a fixed order (owner,
+    permutation, threshold cover, ranges by edge id); one that passes there
+    ranks an unbounded edge or lies on a network that repeats an edge id, and
+    gets None: validation rejects such networks.
+    """
+    degree, owner, ranking = net.out_degree(strat.owner), net.index[strat.owner], strat.ranking
+    taus = dict(strat.thresholds) if isinstance(strat, ThresholdRankingStrategy) else dict.fromkeys(ranking, 0)
+    segments, rests, slot, src, weights = [], [], net.slot, net.src, net.weights
+    for e in ranking:
+        k, tau = slot.get(e, -1), taus.pop(e, -1)  # a repeated id finds no threshold
+        if k < 0 or src[k] != owner or (w := weights[k]) is UNBOUNDED or not 0 <= tau <= w:
+            break
+        if tau:
+            segments.append((k, tau))
+        if w > tau:
+            rests.append((k, w - tau))
+    else:
+        if len(ranking) == degree and not taus:
+            return segments + rests
+    out_ids = net.out_ids(strat.owner)  # find the first fault, in order
+    if sorted(ranking) != out_ids:
+        raise StrategyError(f"ranking of {strat.owner!r} is not a permutation of its outgoing edges")
     if isinstance(strat, ThresholdRankingStrategy):
         taus = dict(strat.thresholds)
         if sorted(taus) != out_ids:
-            raise StrategyError(
-                f"thresholds of {strat.owner!r} must cover exactly its outgoing edges"
-            )
+            raise StrategyError(f"thresholds of {strat.owner!r} must cover exactly its outgoing edges")
         for e_id, tau in taus.items():
             cap = net.weights[net.slot[e_id]]  # an unbounded edge sets no upper bound
             if tau < 0 or (cap is not UNBOUNDED and tau > cap):
                 raise StrategyError(f"threshold {tau} on edge {e_id} outside [0, {cap}]")
-
-
-def compiled_segments(strat: RankingStrategy, net: FinancialNetwork) -> list[tuple[int, Money]]:
-    """The strategy's payment schedule as positive-length (slot, length)
-    segments in ``net``'s edge slots, in one pass over its ranking.
-
-    Threshold-ranking yields the pass-1 threshold segments followed by the
-    pass-2 remainders; edge-ranking is threshold-ranking with zero thresholds,
-    so it yields one segment per positive-weight edge.
-    Zero-length segments (zero-weight edges, zero thresholds, saturated
-    thresholds) are dropped: they can never receive a unit.
-    """
-    if isinstance(strat, ThresholdRankingStrategy):
-        taus = dict(strat.thresholds)
-    elif isinstance(strat, EdgeRankingStrategy):
-        taus = dict.fromkeys(strat.ranking, 0)
-    else:
-        raise StrategyError(f"no payment segments for {type(strat).__name__}")
-    segments, rests = [], []
-    for e in strat.ranking:
-        k = net.slot[e]
-        w, tau = net.weights[k], taus[e]
-        if w is UNBOUNDED:
-            raise StrategyError(f"strategy of {strat.owner!r} ranks an unbounded edge")
-        if tau > 0:
-            segments.append((k, tau))
-        if w > tau:
-            rests.append((k, w - tau))
-    return segments + rests
+    return None
 
 
 def payment_segments(strat: RankingStrategy, net: FinancialNetwork) -> list[tuple[EdgeId, Money]]:
     """The strategy's payment schedule as positive-length (edge, length)
-    segments: ``compiled_segments`` with each slot's edge id."""
-    return [(net.ids[k], x) for k, x in compiled_segments(strat, net)]
+    segments: ``check_strategy``'s with each slot's edge id."""
+    if (segments := check_strategy(strat, net)) is None:
+        raise StrategyError(f"strategy of {strat.owner!r} has no schedule on an invalid network")
+    return [(net.ids[k], x) for k, x in segments]
 
 
 def payment_vector(strat: RankingStrategy, net: FinancialNetwork, y) -> dict[EdgeId, Money]:
@@ -166,7 +163,7 @@ def behavior_signature(strat: RankingStrategy, net: FinancialNetwork) -> tuple:
     identical clearing states in any profile. Enumeration dedupes on this.
     """
     runs: list[tuple[NodeId, Money]] = []
-    for k, length in compiled_segments(strat, net):
+    for k, length in check_strategy(strat, net):
         dst = net.names[net.dst[k]]
         if runs and runs[-1][0] == dst:
             length += runs.pop()[1]

@@ -7,6 +7,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -37,6 +38,7 @@ from finclear import (
     kleene_clearing,
     min_max_cycle_d,
     optimal_strong_equilibrium,
+    render_document,
     revenue,
     social_optimum_edge_ranking,
     top_cycle_increase,
@@ -47,7 +49,7 @@ from finclear.core import (
     check_conservation,
     decompose_circulation,
 )
-from finclear import clearing, equilibria
+from finclear import cli, clearing, core, equilibria
 from finclear.clearing import ProfileError
 from finclear.equilibria import max_value_circulation, strategy_space
 from finclear.strategies import StrategyError
@@ -217,6 +219,40 @@ class TestEnumerate:
             net, fixed=fixed, budget=SearchBudget(max_candidates=3)
         )
         assert not result.exhaustive
+
+    def test_equilibria_are_cleared_again_within_the_deadline(self, monkeypatch, tmp_path, capsys):
+        """a owes b and c 10^6 each, and c owes a the 1 it holds, so both
+        rankings of a are equilibria. Each equilibrium found is cleared again
+        for its state, under the search's deadline: with a clock that passes
+        the timeout during the first of those clears, the run lists the first
+        equilibrium of the untimed run and is not exhaustive (exit 3)."""
+        w = 10**6
+        net = FinancialNetwork.build(
+            ["a", "b", "c"], {"c": 1}, [(0, "a", "b", w), (1, "a", "c", w), (2, "c", "a", 1)]
+        )
+        path = tmp_path / "fork.json"
+        path.write_text(render_document(net), encoding="utf-8")
+        untimed = enumerate_equilibria(net)
+        assert untimed.exhaustive and len(untimed.findings) == 2
+        assert cli.main(["enumerate", str(path)]) == 0
+        listed = capsys.readouterr().out.splitlines()
+        now = [0.0]
+        monkeypatch.setattr(core, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        cleared = equilibria.cleared_state
+
+        def slow(*args, **kwargs):
+            now[0] += 10.0
+            return cleared(*args, **kwargs)
+
+        monkeypatch.setattr(equilibria, "cleared_state", slow)
+        timed = enumerate_equilibria(net, budget=SearchBudget(timeout_secs=5.0))
+        assert (timed.findings, timed.exhaustive) == (untimed.findings[:1], False)
+        now[0] = 0.0
+        assert cli.main(["enumerate", "--timeout-secs", "5", str(path)]) == cli.EXIT_EXHAUSTED
+        first = listed.index("equilibrium 2: revenue = 3")
+        assert capsys.readouterr().out.splitlines() == [
+            "1 equilibrium", *listed[1:first], "search exhausted budget; results may be incomplete"
+        ]
 
 
 class TestSocialOptimum:
@@ -470,9 +506,11 @@ def test_invalid_profiles_are_rejected_at_the_boundary(entry, fault, error):
 
 def test_enumeration_checks_each_given_strategy_once(monkeypatch):
     """A solvable 3DM decision gadget: thousands of profiles are cleared, but
-    each fixed strategy is checked once, when the game is set up, and
-    compiled into a schedule once, for the whole game; no (firm, strategy)
-    is compiled twice, and no clear builds a ``StrategyProfile``. Calls are counted in every module that looks
+    each fixed strategy is checked and compiled into a schedule once, in one
+    pass, when the game is set up, for the whole game; a searched option is
+    checked in the pass that compiles it, so every check is a compile; no
+    (firm, strategy) is checked or compiled twice, and no clear builds a
+    ``StrategyProfile``. Calls are counted in every module that looks
     ``check_strategy`` or ``compile_schedule`` up."""
     calls, compiled = [], []
     for module in (clearing, equilibria):
@@ -480,7 +518,7 @@ def test_enumeration_checks_each_given_strategy_once(monkeypatch):
             original = module.check_strategy
 
             def counted(strat, net, _original=original):
-                calls.append(strat.owner)
+                calls.append((strat.owner, strat))
                 return _original(strat, net)
 
             monkeypatch.setattr(module, "check_strategy", counted)
@@ -513,9 +551,10 @@ def test_enumeration_checks_each_given_strategy_once(monkeypatch):
     net, fixed, _ = gen_from_3dm(inst, ThreeDmVariant.DECISION)
     found = enumerate_equilibria(net, fixed=fixed, budget=SearchBudget(10**7))
     assert found.exhaustive and found.findings
-    assert len(calls) <= len(fixed.strategies)
-    assert len(set(calls)) == len(calls)
     given = fixed.strategies
+    assert sorted(v for v, strat in calls if strat == given.get(v)) == sorted(given)
+    assert set(calls) == {(v, strat) for v, strat in compiled if strat is not None}
+    assert len(set(calls)) == len(calls)
     assert len(set(compiled)) == len(compiled)  # no (firm, strategy) compiled twice
     fixed_compiles = [v for v, strat in compiled if v in given and strat == given[v]]
     assert sorted(fixed_compiles) == sorted(given)

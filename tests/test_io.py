@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import random
 import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -527,6 +531,66 @@ def _not_a_permutation(doc, rng):
             ranking.append(99)
 
 
+def _rankings(doc: dict, min_len: int = 1) -> list[dict]:
+    return [
+        s for s in _entries(doc, "strategies")
+        if isinstance(s.get("ranking"), list) and len(s["ranking"]) >= min_len
+    ]
+
+
+def _foreign_edge(doc, rng):
+    """An edge of another firm in place of one of the owner's."""
+    strategies = _rankings(doc)
+    if strategies:
+        strat = rng.choice(strategies)
+        foreign = [e["id"] for e in _entries(doc, "edges") if e.get("src") != strat.get("owner")]
+        if foreign:
+            strat["ranking"][rng.randrange(len(strat["ranking"]))] = rng.choice(foreign)
+
+
+def _repeated_id(doc, rng):
+    """One ranked id twice, in a ranking of the right length."""
+    strategies = _rankings(doc, min_len=2)
+    if strategies:
+        ranking = rng.choice(strategies)["ranking"]
+        i, j = rng.sample(range(len(ranking)), 2)
+        ranking[i] = ranking[j]
+
+
+def _threshold_strategies(doc: dict) -> list[dict]:
+    return [
+        s for s in _rankings(doc)
+        if isinstance(s.get("thresholds"), dict) and s["thresholds"]
+    ]
+
+
+def _threshold_off_the_ranking(doc, rng):
+    """A threshold keyed to an edge outside the ranking (another firm's
+    edge, or an id no edge has)."""
+    strategies = _threshold_strategies(doc)
+    if strategies:
+        strat = rng.choice(strategies)
+        ids = {e.get("id") for e in _entries(doc, "edges")}
+        outside = sorted(i for i in ids if type(i) is int and i >= 0 and i not in strat["ranking"])
+        taus = strat["thresholds"]
+        edge_id = rng.choice(outside) if outside and rng.random() < 0.8 else 97
+        taus[str(edge_id)] = taus.pop(rng.choice(sorted(taus)))
+
+
+def _missing_threshold(doc, rng):
+    strategies = _threshold_strategies(doc)
+    if strategies:
+        taus = rng.choice(strategies)["thresholds"]
+        del taus[rng.choice(sorted(taus))]
+
+
+def _negative_threshold(doc, rng):
+    strategies = _threshold_strategies(doc)
+    if strategies:
+        taus = rng.choice(strategies)["thresholds"]
+        taus[rng.choice(sorted(taus))] = -rng.randint(1, 3)
+
+
 FAULTS = {
     "wrong type": _wrong_type,
     "bool as amount": _bool_amount,
@@ -543,6 +607,11 @@ FAULTS = {
     "undeclared owner": _undeclared_owner,
     "duplicate owner": _duplicate_owner,
     "not a permutation": _not_a_permutation,
+    "edge of another firm": _foreign_edge,
+    "repeated ranking id": _repeated_id,
+    "threshold off the ranking": _threshold_off_the_ranking,
+    "missing threshold": _missing_threshold,
+    "negative threshold": _negative_threshold,
 }
 
 
@@ -829,30 +898,46 @@ def _count_calls(monkeypatch, name: str, modules) -> list:
     return calls
 
 
+def _looking_up(name: str) -> list:
+    """The command and clearing modules that look ``name`` up."""
+    return [module for module in (cli, clearing) if hasattr(module, name)]
+
+
 def test_clear_validates_once_and_checks_each_strategy_once(tmp_path, monkeypatch, capsys):
-    """The loader checks each strategy; clearing trusts it and reuses the
-    network's validation report."""
+    """The loader checks and compiles each strategy in one pass; clearing
+    trusts it, reads its schedules, checks and compiles none, and reuses the
+    network's validation report. A ``--profile`` override is checked and
+    compiled against the network once."""
     rng = random.Random(11)
     net = random_net(rng, max_nodes=8, max_edges=16)
     profile = random_profile(rng, net)
     path = tmp_path / "net.json"
     path.write_text(render_document(net, profile), encoding="utf-8")
     validations = _count_calls(monkeypatch, "validate_network", (cli, core))
-    checks = _count_calls(monkeypatch, "check_strategy", (finclear_io, clearing))
+    loaded = _count_calls(monkeypatch, "check_strategy", (finclear_io,))
+    checks = _count_calls(monkeypatch, "check_strategy", (clearing,))
+    compiles = _count_calls(monkeypatch, "compile_schedule", _looking_up("compile_schedule"))
     assert cli.main(["clear", str(path)]) == 0
-    assert "revenue = " in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "revenue = " in out
     assert len(validations) == 1
+    assert sorted(strat.owner for strat, _ in loaded) == sorted(profile.strategies)
+    assert (checks, compiles) == ([], [])
+    assert cli.main(["clear", "--profile", str(path), str(path)]) == 0
+    assert capsys.readouterr().out == out
+    assert len(loaded) == 3 * len(profile.strategies)  # the document, and it again as the override
     assert sorted(strat.owner for strat, _ in checks) == sorted(profile.strategies)
+    assert sorted(v for _, v, strat in compiles if strat is not None) == sorted(profile.strategies)
 
 
 def test_clear_and_export_dot_read_the_arrays(tmp_path, monkeypatch, capsys):
     """``clear`` and ``export-dot`` read the network's arrays: they build no
     ``LiabilityEdge`` and no threshold map, and call ``payment_segments``
-    zero times. ``clear`` still validates once and checks each strategy
-    once, and compiles each strategy once; ``validate`` and ``export-dot``
-    compile none. No other subcommand builds a ``LiabilityEdge`` from the
-    parsed document either: not the searches, ``opt-se``, pro-rata clearing
-    or the Kleene oracle."""
+    zero times. Each command checks and compiles each document strategy
+    exactly once, in the loader; ``clear`` still validates once, and it
+    checks and compiles nothing after loading. No other subcommand builds a
+    ``LiabilityEdge`` from the parsed document either: not the searches,
+    ``opt-se``, pro-rata clearing or the Kleene oracle."""
     rng = random.Random(0)
     net = random_net(rng, max_nodes=8, max_edges=16)
     profile = random_profile(rng, net)
@@ -866,16 +951,16 @@ def test_clear_and_export_dot_read_the_arrays(tmp_path, monkeypatch, capsys):
     segments = _count_calls(monkeypatch, "payment_segments", (finclear_strategies,))
     validations = _count_calls(monkeypatch, "validate_network", (cli, core))
     checks = _count_calls(monkeypatch, "check_strategy", (finclear_io, clearing))
-    compiles = _count_calls(monkeypatch, "compiled_segments", (finclear_strategies, clearing))
+    compiles = _count_calls(monkeypatch, "compile_schedule", _looking_up("compile_schedule"))
     assert cli.main(["clear", str(path)]) == 0
     assert "revenue = " in capsys.readouterr().out
     assert len(validations) == 1
     assert sorted(strat.owner for strat, _ in checks) == sorted(profile.strategies)
-    assert sorted(strat.owner for strat, _ in compiles) == sorted(profile.strategies)
     for command, header in (("validate", "ok"), ("export-dot", "digraph liabilities {")):
         assert cli.main([command, str(path)]) == 0
         assert capsys.readouterr().out.startswith(header)
-    assert len(compiles) == len(profile.strategies)
+    assert sorted(strat.owner for strat, _ in checks) == sorted(3 * list(profile.strategies))
+    assert compiles == []
     assert (built, maps, segments) == ([], [], [])
     firm = net.debtors()[0]
     searches = (["best-response", "--firm", firm], ["check", "--nash"], ["check", "--strong"],
@@ -932,6 +1017,34 @@ def test_main_builds_one_parser_and_carries_no_state_between_calls(tmp_path, mon
     assert run(*three_dm) == normal[three_dm]
     assert run("check", "--space", "edge") == first_error
     assert cli._build_parser.cache_info().misses == 1
+
+
+def _clear(*argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["clear", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_clear_prints_the_same_bytes_with_the_document_as_its_own_override(seed):
+    """``clear DOC`` clears with the schedules the loader compiled, and
+    ``clear --profile DOC DOC`` compiles the override's strategies against
+    the network again: on random documents, some with a strategy missing,
+    the two print the same bytes and exit alike."""
+    rng = random.Random(seed)
+    net = random_net(rng, max_nodes=8, max_edges=16)
+    strategies = list(random_profile(rng, net).strategies.values())
+    if rng.random() < 0.2:
+        strategies.pop(rng.randrange(len(strategies)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "net.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(render_document(net, StrategyProfile.of(strategies)))
+        loaded = _clear(path)
+        assert _clear("--profile", path, path) == loaded
+    assert loaded[0] == (0 if len(strategies) == len(net.debtors()) else 2)
 
 
 C = {"id": "c", "external": 0}
