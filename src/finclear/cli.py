@@ -206,15 +206,15 @@ def _cmd_clear(args) -> int:
         override = _read_document(args.profile).profile
     profile = _full_profile(net, doc.profile, override)
     if args.oracle is None:
-        # The loader compiled the document's strategies against net, but an
-        # override's against its own document. The clearing layers are looked
-        # up on their module, where per-layer tracing wraps them.
-        circ = clearing.build_circulation_network(net)
+        # The loader compiled the document's strategies against net, an
+        # override's against its own document, so those are compiled again.
+        # Clearing layers are looked up on their module, where tracing wraps them.
         if override is None:
+            circ = clearing.build_circulation_network(net)
             schedules = clearing.schedules_from(circ, doc.segments)
+            state = clearing.cleared_state(circ, schedules, cycle_rng=_cycle_rng())
         else:
-            schedules = [clearing.compile_schedule(circ, v, profile.strategy_for(v)) for v in circ.nodes]
-        state = clearing.cleared_state(circ, schedules, cycle_rng=_cycle_rng())
+            state = clearing.top_cycle_increase(net, profile, cycle_rng=_cycle_rng())
     else:
         start = KleeneStart.TOP if args.oracle == "kleene-top" else KleeneStart.BOTTOM
         try:

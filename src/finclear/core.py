@@ -81,7 +81,8 @@ class UnboundedType:
     """Singleton sentinel for an unlimited quantity, never a large number.
 
     It marks a parsed ``"unbounded"`` edge weight, which validation rejects,
-    and an unbounded welfare ratio.
+    and an unbounded welfare ratio. ``copy``, ``deepcopy`` and ``pickle``
+    (protocol 2 and up) rebuild it through ``__new__``, so they return it.
     """
 
     _instance: "UnboundedType | None" = None
@@ -93,12 +94,6 @@ class UnboundedType:
 
     def __repr__(self) -> str:
         return "UNBOUNDED"
-
-    def __copy__(self) -> "UnboundedType":
-        return self
-
-    def __deepcopy__(self, memo) -> "UnboundedType":
-        return self
 
 
 UNBOUNDED = UnboundedType()

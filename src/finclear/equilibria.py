@@ -55,6 +55,7 @@ from .strategies import (
     StrategyProfile,
     ThresholdRankingStrategy,
     behavior_signature,
+    check_strategy,
 )
 from .clearing import _blocks, cleared_state, clear_circulation, compile_schedule
 
@@ -91,9 +92,11 @@ class _Game:
     are one object. The meter is charged per strategy candidate as a tuple
     is built and per table miss: each candidate and each distinct profile is
     charged once per game. Each given strategy is checked and compiled in
-    one pass (``compile_schedule``) once, here, and each searched option as
-    its tuple is built, its home reusing the given schedule, so no clear
-    checks or compiles.
+    one pass (``compile_schedule``) once, here. A searched option's schedule
+    is the segments ``strategy_space`` compiled it to, plus v's surplus
+    tail; its home is found by the ``behavior_signature`` of the given
+    schedule and reuses it. So no strategy is checked or compiled twice, and
+    no clear checks or compiles.
 
     A clear walks the strongly connected blocks of the liability graph in
     topological order (``_blocks`` on ``circ`` indices, once per game).
@@ -163,19 +166,19 @@ class _Game:
         opts = self.options.get(v)
         if opts is not None:
             return opts
-        opts = strategy_space(self.net, v, self.space, meter=self.meter)
+        space = strategy_space(self.net, v, self.space, meter=self.meter)
+        at, home = self.circ.index[v], None
+        opts, tail = tuple(space), (len(self.circ.slot) + 2 * at, self.circ.capacity)
+        schedules = [[*segments, tail] for segments in space.values()]
         self.space_size[v] = len(opts)
-        home = None
-        given = self.given.get(v)
-        if given is not None:
-            sigs = [behavior_signature(s, self.net) for s in opts + (given,)]
+        if self.given.get(v) is not None:  # home: the first option that behaves like the given one
+            sigs = [behavior_signature(x, self.net) for x in (*space.values(), self.base[at][:-1])]
             home = sigs.index(sigs[-1])
             if home == len(opts):
-                opts += (given,)
-        self.compiled.append((self.circ.index[v], tuple(
-            self.base[self.circ.index[v]] if i == home else compile_schedule(self.circ, v, s)
-            for i, s in enumerate(opts)
-        )))
+                opts += (self.given[v],)
+                schedules.append(None)
+            schedules[home] = self.base[at]
+        self.compiled.append((at, tuple(schedules)))
         self.options[v], self.home[v], self.stride[v] = opts, home, self.radix
         self.offset += (home or 0) * self.radix
         self.radix *= len(opts)
@@ -264,15 +267,17 @@ def strategy_space(
     v: NodeId,
     space: SearchSpace,
     meter: "_Meter | None" = None,
-) -> tuple[RankingStrategy, ...]:
-    """All candidate strategies for one firm, in canonical order.
+) -> dict[RankingStrategy, list[tuple[int, Money]]]:
+    """All candidate strategies for one firm, in canonical order, each with
+    its ``check_strategy`` segments: every candidate is checked and compiled
+    once, here, and the segments of each kept one are its schedule's.
 
     Edge space: permutations of the outgoing edge ids in lexicographic order.
     Threshold space: for each permutation, every threshold vector, ascending.
-    Candidates are collapsed by their node-aggregated payment behavior;
-    clearing states depend on strategies only through that, so dropping
-    behavioral duplicates never changes a verdict, and keeping first
-    occurrences preserves canonical tie-breaking.
+    Candidates are collapsed by their node-aggregated payment behavior
+    (``behavior_signature``); clearing states depend on strategies only
+    through that, so dropping behavioral duplicates never changes a verdict,
+    and keeping first occurrences preserves canonical tie-breaking.
 
     Two out-edges with the same creditor and the same weight are
     interchangeable, and a permutation that ranks such a pair against
@@ -288,7 +293,7 @@ def strategy_space(
     """
     out_ids = net.out_ids(v)
     if not out_ids:
-        return ()
+        return {}
 
     kind = {e: (net.dst[net.slot[e]], net.weights[net.slot[e]]) for e in out_ids}
     perms: Iterable[tuple[EdgeId, ...]] = itertools.permutations(out_ids)
@@ -304,12 +309,13 @@ def strategy_space(
             for p in perms
             for taus in itertools.product(*ranges)
         )
-    kept: dict[tuple, RankingStrategy] = {}
+    kept: dict[tuple, tuple[RankingStrategy, list]] = {}
     for strat in candidates:
         if meter is not None:
             meter.charge()
-        kept.setdefault(behavior_signature(strat, net), strat)
-    return tuple(kept.values())
+        segments = check_strategy(strat, net)
+        kept.setdefault(behavior_signature(segments, net), (strat, segments))
+    return dict(kept.values())
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +878,7 @@ def is_strong_equilibrium(
 
 
 # ---------------------------------------------------------------------------
-# Enumeration and social optimum
+# Enumeration
 
 
 @dataclass(frozen=True)
@@ -957,34 +963,6 @@ def enumerate_equilibria(
     found, _, exhaustive = _enumerate(game, check_strong, with_state=True)
     findings = [EquilibriumFinding(game.profile(code), state, report) for code, report, state in found]
     return EnumerationResult(tuple(findings), exhaustive)
-
-
-@dataclass(frozen=True)
-class SocialOptimum:
-    profile: StrategyProfile
-    revenue: Money
-    exhaustive: bool
-
-
-def social_optimum_edge_ranking(
-    net: FinancialNetwork,
-    budget: SearchBudget = SearchBudget(),
-    fixed: Mapping[NodeId, RankingStrategy] | StrategyProfile | None = None,
-) -> SocialOptimum:
-    """Exhaustive revenue maximization over edge-ranking profiles."""
-    game = _Game(net, budget, SearchSpace.EDGE, fixed)
-    best_code: int | None = None
-    best_rev, exhaustive = -1, True
-    try:
-        for code in game.codes([v for v in game.firms if v not in game.given]):
-            rev = sum(game.clear(code))
-            if rev > best_rev:
-                best_rev, best_code = rev, code
-    except _Exhausted:
-        exhaustive = False
-    if best_code is None:
-        return SocialOptimum(StrategyProfile.of(game.given), net.total_external(), exhaustive)
-    return SocialOptimum(game.profile(best_code), best_rev, exhaustive)
 
 
 # ---------------------------------------------------------------------------
@@ -1218,9 +1196,10 @@ def welfare_metrics(
     are built once and shared with the d search, which keeps a meter of its
     own. Ratios degrade to the unbounded sentinel when the relevant
     equilibrium revenue is zero while the optimum is positive. With
-    ``compute_d=False`` the exponential minimization over optimal
-    circulations is skipped and ``d_bound`` is just the longest cycle of one
-    canonical decomposition, flagged inexact.
+    ``compute_d=False`` the d search runs on a budget of zero candidates, so
+    it stops before its exponential minimization over optimal circulations
+    and returns its own fallback: 0, exact, if f* carries nothing, else the
+    longest cycle of f*'s canonical decomposition, flagged inexact.
     """
     game = _Game(net, budget, space, fixed)
     fstar = max_value_circulation(game.circ)
@@ -1231,12 +1210,7 @@ def welfare_metrics(
         opt = net.total_external() if best_rev is None else best_rev
     nash_revs = [sum(game.clear(code)) for code, _, _ in found]
     strong_revs = [rev for rev, (_, r, _) in zip(nash_revs, found) if r.verdict is Verdict.STRONG]
-    if compute_d:
-        d = _min_max_cycle_d(game.circ, fstar, budget)
-    elif fstar.total() == 0:
-        d = CycleBound(0, True)
-    else:
-        d = CycleBound(decompose_circulation(game.circ, fstar).max_cycle_length(), False)
+    d = _min_max_cycle_d(game.circ, fstar, budget if compute_d else SearchBudget(max_candidates=0))
     best_eq, worst_eq = (max(nash_revs), min(nash_revs)) if nash_revs else (None, None)
     return WelfareMetrics(
         opt_revenue=opt,

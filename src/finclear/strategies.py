@@ -152,9 +152,9 @@ def payment_vector(strat: RankingStrategy, net: FinancialNetwork, y) -> dict[Edg
     return paid
 
 
-def behavior_signature(strat: RankingStrategy, net: FinancialNetwork) -> tuple:
-    """The payment segments as (destination, amount) runs, adjacent runs to
-    one destination merged.
+def behavior_signature(segments: Iterable[tuple[int, Money]], net: FinancialNetwork) -> tuple:
+    """A strategy's ``check_strategy`` segments as (destination, amount)
+    runs, adjacent runs to one destination merged.
 
     These runs are the pieces of the node-aggregated payment table over asset
     levels 0..l(owner), on each of which one destination's amount rises at
@@ -163,7 +163,7 @@ def behavior_signature(strat: RankingStrategy, net: FinancialNetwork) -> tuple:
     identical clearing states in any profile. Enumeration dedupes on this.
     """
     runs: list[tuple[NodeId, Money]] = []
-    for k, length in check_strategy(strat, net):
+    for k, length in segments:
         dst = net.names[net.dst[k]]
         if runs and runs[-1][0] == dst:
             length += runs.pop()[1]

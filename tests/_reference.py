@@ -79,6 +79,7 @@ from finclear.strategies import (
     StrategyError,
     StrategyProfile,
     behavior_signature,
+    check_strategy,
     payment_segments,
 )
 
@@ -525,5 +526,5 @@ def reference_strategy_space(net: FinancialNetwork, v: NodeId, threshold: bool) 
                 if threshold
                 else EdgeRankingStrategy(v, p)
             )
-            kept.setdefault(behavior_signature(strat, net), strat)
+            kept.setdefault(behavior_signature(check_strategy(strat, net), net), strat)
     return tuple(kept.values())

@@ -40,7 +40,6 @@ from finclear import (
     oracle_exact_cover,
     oracle_max_sat,
     revenue,
-    social_optimum_edge_ranking,
     top_cycle_increase,
     welfare_metrics,
 )
@@ -165,8 +164,9 @@ def test_c06_dead_cycle_game_has_unbounded_anarchy():
     assert result.exhaustive and result.findings
     worst = min(revenue(net, f.state) for f in result.findings)
     assert worst == 0
-    assert social_optimum_edge_ranking(net).revenue == 2
-    assert welfare_metrics(net).poa is UNBOUNDED
+    metrics = welfare_metrics(net)
+    assert metrics.opt_revenue == 2
+    assert metrics.poa is UNBOUNDED
 
 
 def test_c07_ring_with_shortcut_stability_ratio():
@@ -175,8 +175,9 @@ def test_c07_ring_with_shortcut_stability_ratio():
     assert result.exhaustive
     revenues = {revenue(net, f.state) for f in result.findings}
     assert revenues == {22}
-    assert social_optimum_edge_ranking(net).revenue == 50
-    assert welfare_metrics(net, compute_d=False).spos == Fraction(50, 22)
+    metrics = welfare_metrics(net, compute_d=False)
+    assert metrics.opt_revenue == 50
+    assert metrics.spos == Fraction(50, 22)
 
 
 def test_c08_external_inflow_family_equilibria_versus_optimum():
@@ -197,9 +198,9 @@ def test_c08_external_inflow_family_equilibria_versus_optimum():
         assert found.exhaustive
         assert found.findings, f"no pure equilibrium at scale {scale}"
         revenues[scale] = sorted(revenue(net, f.state) for f in found.findings)
-        opt = social_optimum_edge_ranking(net)
+        opt = welfare_metrics(net, compute_d=False)
         assert opt.exhaustive
-        optima[scale] = opt.revenue
+        optima[scale] = opt.opt_revenue
     assert optima[100] >= 5 * optima[10]
     assert revenues[10] == revenues[100]
 

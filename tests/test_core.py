@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -160,6 +161,8 @@ class TestValidate:
 def test_unbounded_is_a_singleton_under_copy():
     assert copy.copy(UNBOUNDED) is UNBOUNDED
     assert copy.deepcopy(UNBOUNDED) is UNBOUNDED
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):  # 0 and 1 bypass __new__
+        assert pickle.loads(pickle.dumps(UNBOUNDED, protocol)) is UNBOUNDED
 
 
 @given(st.lists(st.text(alphabet="abn0123456789", min_size=1, max_size=5)))

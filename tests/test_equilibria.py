@@ -40,7 +40,6 @@ from finclear import (
     optimal_strong_equilibrium,
     render_document,
     revenue,
-    social_optimum_edge_ranking,
     top_cycle_increase,
     welfare_metrics,
 )
@@ -52,7 +51,7 @@ from finclear.core import (
 from finclear import cli, clearing, core, equilibria
 from finclear.clearing import ProfileError
 from finclear.equilibria import max_value_circulation, strategy_space
-from finclear.strategies import StrategyError
+from finclear.strategies import StrategyError, check_strategy
 from _reference import (
     ReferenceNetwork,
     reference_circulation,
@@ -108,14 +107,17 @@ class TestBestResponse:
 @settings(max_examples=100, deadline=None)
 def test_strategy_space_keeps_every_behavior_in_order(seed, space):
     """Skipping the rankings that order interchangeable out-edges against
-    ascending id keeps the same strategies, in the same order, and charges
-    no more candidates than there are rankings and threshold vectors."""
+    ascending id keeps the same strategies, in the same order, each with its
+    ``check_strategy`` segments, and charges no more candidates than there
+    are rankings and threshold vectors."""
     rng = random.Random(seed)
     net = random_net(rng, max_nodes=3, max_edges=4, max_weight=2)
     for v in net.debtors():
         threshold = space is SearchSpace.THRESHOLD
         meter = equilibria._Meter(SearchBudget(10**7))
-        assert strategy_space(net, v, space, meter=meter) == reference_strategy_space(net, v, threshold)
+        kept = strategy_space(net, v, space, meter=meter)
+        assert tuple(kept) == reference_strategy_space(net, v, threshold)
+        assert all(segments == check_strategy(s, net) for s, segments in kept.items())
         sizes = [net.weights[net.slot[e]] + 1 if threshold else 1 for e in net.out_ids(v)]
         assert meter.used <= math.factorial(len(sizes)) * math.prod(sizes)
 
@@ -256,21 +258,22 @@ class TestEnumerate:
 
 
 class TestSocialOptimum:
+    """The edge-ranking optimum is the best revenue of the enumeration pass."""
+
     def test_ring_with_shortcut_optimum_uses_the_short_edge(self):
         net = gen_edge_spos_family(5, 10)
-        opt = social_optimum_edge_ranking(net)
+        opt = welfare_metrics(net, compute_d=False)
         assert opt.exhaustive
-        assert opt.revenue == 50
+        assert opt.opt_revenue == 50
 
     def test_dead_cycle_game_optimum(self):
-        opt = social_optimum_edge_ranking(gen_poa_unbounded())
-        assert opt.revenue == 2
+        assert welfare_metrics(gen_poa_unbounded(), compute_d=False).opt_revenue == 2
 
     def test_no_edges_means_externals_only(self):
         net = FinancialNetwork.build(["solo"], {"solo": 7}, [])
-        opt = social_optimum_edge_ranking(net)
-        assert opt.revenue == 7
-        assert opt.profile.strategies == {}
+        opt = welfare_metrics(net, compute_d=False)
+        assert opt.exhaustive
+        assert opt.opt_revenue == 7
 
 
 class TestCycleBound:
@@ -445,6 +448,23 @@ def test_no_d_bound_never_undercuts_the_exact_d(seed):
     assert welfare_metrics(net, compute_d=False).d_bound >= exact.value
 
 
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_no_d_reports_the_canonical_decomposition(seed, externals):
+    """Without d, metrics reports (0, exact) if f* carries nothing, else the
+    longest cycle of f*'s canonical decomposition, flagged inexact."""
+    rng = random.Random(seed)
+    net = random_net(rng, max_nodes=4, max_edges=6, max_weight=2, max_external=4 if externals else 0)
+    circ = build_circulation_network(net)
+    fstar = max_value_circulation(circ)
+    if fstar.total() == 0:
+        expected = (0, True)
+    else:
+        expected = (decompose_circulation(circ, fstar).max_cycle_length(), False)
+    metrics = welfare_metrics(net, compute_d=False)
+    assert (metrics.d_bound, metrics.d_exact) == expected
+
+
 def _boundary_case(fault: str) -> tuple[FinancialNetwork, dict]:
     """A 3-firm network and a profile whose strategy for ``a`` is at fault;
     ``b`` and ``c`` play valid strategies."""
@@ -476,9 +496,6 @@ _ENTRY_POINTS = {
     "is_nash": lambda net, p: is_nash(net, _profile(p)),
     "is_strong_equilibrium": lambda net, p: is_strong_equilibrium(net, _profile(p)),
     "enumerate_equilibria": lambda net, p: enumerate_equilibria(net, fixed={"a": p["a"]}),
-    "social_optimum_edge_ranking": lambda net, p: social_optimum_edge_ranking(
-        net, fixed={"a": p["a"]}
-    ),
     "welfare_metrics": lambda net, p: welfare_metrics(net, fixed={"a": p["a"]}),
 }
 
@@ -507,18 +524,22 @@ def test_invalid_profiles_are_rejected_at_the_boundary(entry, fault, error):
 def test_enumeration_checks_each_given_strategy_once(monkeypatch):
     """A solvable 3DM decision gadget: thousands of profiles are cleared, but
     each fixed strategy is checked and compiled into a schedule once, in one
-    pass, when the game is set up, for the whole game; a searched option is
-    checked in the pass that compiles it, so every check is a compile; no
-    (firm, strategy) is checked or compiled twice, and no clear builds a
-    ``StrategyProfile``. Calls are counted in every module that looks
-    ``check_strategy`` or ``compile_schedule`` up."""
-    calls, compiled = [], []
+    pass, in ``_Game.__init__``, for the whole game; each candidate is checked
+    and compiled once, in ``strategy_space``, whose segments become the
+    searched options' schedules, so ``compile_schedule`` runs for given
+    strategies only; no check runs anywhere else, no (firm, strategy) is
+    compiled twice, and no clear builds a ``StrategyProfile``. A fixed firm
+    searched for a deviation checks its given strategy again as one of its
+    candidates. Calls are counted in every module that looks
+    ``check_strategy`` or ``compile_schedule`` up, each with the function it
+    ran under."""
+    calls, compiled, within, charged = [], [], [], []
     for module in (clearing, equilibria):
         if hasattr(module, "check_strategy"):
             original = module.check_strategy
 
             def counted(strat, net, _original=original):
-                calls.append((strat.owner, strat))
+                calls.append((within[-1] if within else None, strat.owner, strat))
                 return _original(strat, net)
 
             monkeypatch.setattr(module, "check_strategy", counted)
@@ -532,6 +553,7 @@ def test_enumeration_checks_each_given_strategy_once(monkeypatch):
             monkeypatch.setattr(module, "compile_schedule", counted_compile)
     clearing_now, built_in_clear = [], []
     clear, init = equilibria._Game.clear, StrategyProfile.__init__
+    game_init, space = equilibria._Game.__init__, equilibria.strategy_space
 
     def watched_clear(self, code):
         clearing_now.append(code)
@@ -545,20 +567,39 @@ def test_enumeration_checks_each_given_strategy_once(monkeypatch):
             built_in_clear.append(clearing_now[-1])
         init(self, *args, **kwargs)
 
+    def watched_game_init(self, *args, **kwargs):
+        within.append("__init__")
+        game_init(self, *args, **kwargs)
+        within.pop()
+
+    def watched_space(net, v, search_space, meter=None):
+        within.append("strategy_space")
+        used = meter.used
+        kept = space(net, v, search_space, meter=meter)
+        charged.append(meter.used - used)  # one charge per candidate
+        within.pop()
+        return kept
+
     monkeypatch.setattr(equilibria._Game, "clear", watched_clear)
+    monkeypatch.setattr(equilibria._Game, "__init__", watched_game_init)
+    monkeypatch.setattr(equilibria, "strategy_space", watched_space)
     monkeypatch.setattr(StrategyProfile, "__init__", counted_init)
     inst = ThreeDmInstance.of((1, 2, 3), [(1, 2, 3)])
     net, fixed, _ = gen_from_3dm(inst, ThreeDmVariant.DECISION)
     found = enumerate_equilibria(net, fixed=fixed, budget=SearchBudget(10**7))
     assert found.exhaustive and found.findings
     given = fixed.strategies
-    assert sorted(v for v, strat in calls if strat == given.get(v)) == sorted(given)
-    assert set(calls) == {(v, strat) for v, strat in compiled if strat is not None}
-    assert len(set(calls)) == len(calls)
+    in_init = [(v, strat) for where, v, strat in calls if where == "__init__"]
+    assert sorted(v for v, _ in in_init) == sorted(given)
+    assert all(strat == given[v] for v, strat in in_init)
+    candidates = [(v, strat) for where, v, strat in calls if where == "strategy_space"]
+    assert charged and len(candidates) == sum(charged)
+    assert len(in_init) + len(candidates) == len(calls)  # no check elsewhere
+    assert len(set(candidates)) == len(candidates)
     assert len(set(compiled)) == len(compiled)  # no (firm, strategy) compiled twice
     fixed_compiles = [v for v, strat in compiled if v in given and strat == given[v]]
     assert sorted(fixed_compiles) == sorted(given)
-    assert len(compiled) > len(fixed_compiles)  # the searched firms' options
+    assert all(strat == given.get(v) for v, strat in compiled)  # no searched option
     assert built_in_clear == []
 
 

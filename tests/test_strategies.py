@@ -18,6 +18,7 @@ from finclear import (
 from finclear.strategies import (
     StrategyError,
     behavior_signature,
+    check_strategy,
     payment_segments,
     payment_vector,
 )
@@ -156,6 +157,10 @@ def test_active_segment_names_the_next_unit(net_strat, y):
         assert more[cursor.active_edge] == paid[cursor.active_edge] + 1
 
 
+def _signature(strat, net: FinancialNetwork) -> tuple:
+    return behavior_signature(check_strategy(strat, net), net)
+
+
 def test_behavior_signature_merges_equivalent_strategies():
     # Different rankings of parallel edges to the same creditor pay it identically.
     net = FinancialNetwork.build(
@@ -163,13 +168,13 @@ def test_behavior_signature_merges_equivalent_strategies():
     )
     a = EdgeRankingStrategy("d", (0, 1))
     b = EdgeRankingStrategy("d", (1, 0))
-    assert behavior_signature(a, net) == behavior_signature(b, net)
+    assert _signature(a, net) == _signature(b, net)
     other = FinancialNetwork.build(
         ["d", "x", "y"], {"d": 3}, [(0, "d", "x", 2), (1, "d", "y", 2)]
     )
-    assert behavior_signature(
-        EdgeRankingStrategy("d", (0, 1)), other
-    ) != behavior_signature(EdgeRankingStrategy("d", (1, 0)), other)
+    assert _signature(EdgeRankingStrategy("d", (0, 1)), other) != _signature(
+        EdgeRankingStrategy("d", (1, 0)), other
+    )
 
 
 def _payment_table(strat, net: FinancialNetwork) -> list[dict[str, int]]:
@@ -215,7 +220,7 @@ def _one_firm_strategy_pair(draw):
 @settings(max_examples=400, deadline=None)
 def test_behavior_signature_equal_iff_payment_tables_equal(case):
     net, a, b = case
-    same_signature = behavior_signature(a, net) == behavior_signature(b, net)
+    same_signature = _signature(a, net) == _signature(b, net)
     assert same_signature == (_payment_table(a, net) == _payment_table(b, net))
 
 
