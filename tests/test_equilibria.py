@@ -497,6 +497,12 @@ _ENTRY_POINTS = {
     "is_strong_equilibrium": lambda net, p: is_strong_equilibrium(net, _profile(p)),
     "enumerate_equilibria": lambda net, p: enumerate_equilibria(net, fixed={"a": p["a"]}),
     "welfare_metrics": lambda net, p: welfare_metrics(net, fixed={"a": p["a"]}),
+    "welfare_metrics threshold space": lambda net, p: welfare_metrics(
+        net, SearchSpace.THRESHOLD, fixed={"a": p["a"]}
+    ),
+    "compile_schedule": lambda net, p: clearing.compile_schedule(
+        build_circulation_network(net), "a", p["a"]
+    ),
 }
 
 
