@@ -152,6 +152,12 @@ def clear_circulation(
     nodes, which are not dead. And after a push the walk stays valid up to
     the first cycle node whose segment saturated: it resumes there, and the
     scan over start nodes resumes where it stopped.
+
+    Flows are booked by a ledger, not on every push: a node's flow is fixed
+    by how far it got along its schedule. Each segment that saturates adds
+    its full length to its slot, and after the walks each node that has a
+    segment left adds what it paid on it, the segment's length less
+    ``rem``. So every slot carries the sum of the pushes through it.
     """
     dst, m = circ.dst, len(circ.slot)
     schedules = schedules.copy()
@@ -162,15 +168,17 @@ def clear_circulation(
     n = len(schedules)
     flows = [0] * len(dst)
     seg_at = [0] * n
-    active = [segs[0][0] if segs else -1 for segs in schedules]
     rem = [segs[0][1] if segs else 0 for segs in schedules]
-    to = [dst[a] if a >= 0 else -1 for a in active]
-    starts = list(range(n))
+    to = [dst[segs[0][0]] if segs else -1 for segs in schedules]
+    starts: range | list[int] = range(n)
     if cycle_rng is not None:
+        starts = list(starts)
         cycle_rng.shuffle(starts)
     at = [-1] * n  # u's index in ``path`` while u is on the walk; -1 off it, -2 dead
     path: list[int] = []
     for u in starts:
+        if at[u] == -2:
+            continue
         while True:
             p = at[u]
             if p == -1:
@@ -183,25 +191,30 @@ def clear_circulation(
             elif p == -2:
                 break
             else:  # path[p:] is a cycle: push its bottleneck round it
-                delta = min(map(rem.__getitem__, path[p:]))
+                cycle = path[p:]
+                delta = min(map(rem.__getitem__, cycle))
                 if delta <= 0:
                     raise InconsistentStateError(f"cycle push of size {delta}")
-                cut = -1
-                for j in range(p, len(path)):
-                    w = path[j]
-                    flows[active[w]] += delta
-                    rem[w] -= delta
-                    if rem[w]:
+                first = -1
+                for w in cycle:
+                    r = rem[w] - delta
+                    if r:
+                        rem[w] = r
                         continue
-                    if cut < 0:
-                        cut = j
-                    seg_at[w] += 1
-                    if seg_at[w] < len(schedules[w]):
-                        active[w], rem[w] = schedules[w][seg_at[w]]
-                        to[w] = dst[active[w]]
+                    if first < 0:
+                        first = w
+                    segs, k = schedules[w], seg_at[w]
+                    slot, length = segs[k]
+                    flows[slot] += length
+                    k += 1
+                    seg_at[w] = k
+                    if k < len(segs):
+                        slot, rem[w] = segs[k]
+                        to[w] = dst[slot]
                     else:
                         to[w] = -1
-                u = path[cut]
+                cut = at[first]
+                u = first
                 for w in path[cut:]:
                     at[w] = -1
                 del path[cut:]
@@ -209,6 +222,10 @@ def clear_circulation(
         for w in path:
             at[w] = -2
         path.clear()
+    for segs, k, r in zip(schedules, seg_at, rem):
+        if k < len(segs):
+            slot, length = segs[k]
+            flows[slot] += length - r
     return flows
 
 

@@ -4,7 +4,8 @@ Every command reads a network document from a file argument (or stdin when
 the argument is "-" or omitted), validates it, and writes deterministic text
 to stdout. Exit codes: 0 success, 2 invalid input, 3 budget exhaustion
 (a search still prints its partial results; a Kleene oracle prints only the
-reason, on stderr), 64 usage errors.
+reason, on stderr), 64 usage errors, 141 (128 + SIGPIPE) when stdout was
+closed before the output was written.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_EXHAUSTED = 3
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141
 
 SEED_ENV = "FINCLEAR_SEED"
 
@@ -196,9 +198,9 @@ def _cmd_clear(args) -> int:
         except BudgetExhaustedError as exc:
             print(f"pro-rata: {exc}", file=sys.stderr)
             return EXIT_EXHAUSTED
-        for v in net.nodes:
-            print(f"a_{v} = {_fmt(Fraction(result.state.assets[v]))}")
-        print(f"revenue = {_fmt(Fraction(sum(result.state.assets[v] for v in net.nodes)))}")
+        assets = result.state.assets
+        sys.stdout.write("".join([f"a_{v} = {_fmt(Fraction(assets[v]))}\n" for v in net.nodes]))
+        print(f"revenue = {_fmt(Fraction(sum(assets[v] for v in net.nodes)))}")
         print(f"converged = {'true' if result.converged else 'false'}")
         return EXIT_OK
     override = None
@@ -222,8 +224,8 @@ def _cmd_clear(args) -> int:
         except BudgetExhaustedError as exc:
             print(f"{args.oracle}: {exc}", file=sys.stderr)
             return EXIT_EXHAUSTED
-    for v in net.nodes:
-        print(f"a_{v} = {state.assets[v]}")
+    assets = state.assets
+    sys.stdout.write("".join([f"a_{v} = {assets[v]}\n" for v in net.nodes]))
     print(f"revenue = {revenue(net, state)}")
     return EXIT_OK
 
@@ -474,8 +476,33 @@ def main(argv: Sequence[str] | None = None) -> int:
     collector paused (``collector_paused``). finclear builds no reference
     cycles, so the pause holds back none of its garbage; argparse leaves a
     help formatter cycle per argument when it builds the parser, once per
-    process, and one per usage error."""
-    return collector_paused(_main, argv)
+    process, and one per usage error.
+
+    A reader that closes stdout early (``finclear clear DOC | head``) stops
+    the command: it exits ``EXIT_BROKEN_PIPE`` (141) without a traceback.
+    stdout is flushed before ``main`` returns, so a closed pipe is found
+    here and not at interpreter exit; stdout's file descriptor, when it has
+    one, is then pointed at ``os.devnull`` so that the exit flush of what is
+    still buffered stays quiet."""
+    try:
+        code = collector_paused(_main, argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_BROKEN_PIPE
+
+
+def _discard_stdout() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # StringIO and the like
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def _main(argv: Sequence[str] | None) -> int:

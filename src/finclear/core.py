@@ -81,8 +81,9 @@ class UnboundedType:
     """Singleton sentinel for an unlimited quantity, never a large number.
 
     It marks a parsed ``"unbounded"`` edge weight, which validation rejects,
-    and an unbounded welfare ratio. ``copy``, ``deepcopy`` and ``pickle``
-    (protocol 2 and up) rebuild it through ``__new__``, so they return it.
+    and an unbounded welfare ratio. ``__reduce__`` names the module global
+    ``UNBOUNDED``, so ``copy``, ``deepcopy`` and ``pickle`` at every
+    protocol return it rather than build a second instance.
     """
 
     _instance: "UnboundedType | None" = None
@@ -91,6 +92,9 @@ class UnboundedType:
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
+
+    def __reduce__(self) -> str:
+        return "UNBOUNDED"
 
     def __repr__(self) -> str:
         return "UNBOUNDED"

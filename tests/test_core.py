@@ -161,7 +161,7 @@ class TestValidate:
 def test_unbounded_is_a_singleton_under_copy():
     assert copy.copy(UNBOUNDED) is UNBOUNDED
     assert copy.deepcopy(UNBOUNDED) is UNBOUNDED
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):  # 0 and 1 bypass __new__
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(UNBOUNDED, protocol)) is UNBOUNDED
 
 

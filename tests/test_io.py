@@ -741,6 +741,35 @@ class TestCli:
         assert result.returncode == 0
         assert "spoa = 4/1" in result.stdout
 
+    def test_a_closed_stdout_ends_the_command_without_a_traceback(self, tmp_path):
+        """``clear`` on a 20,000-firm ring writes about 300 kB, far more than
+        a pipe holds; the reader takes one line and closes the pipe, so the
+        next write fails with EPIPE."""
+        names = [f"f{i}" for i in range(20_000)]
+        doc = {
+            "nodes": [{"id": v, "external": 1} for v in names],
+            "edges": [
+                {"id": i, "src": v, "dst": names[i - 1], "weight": 2} for i, v in enumerate(names)
+            ],
+            "strategies": [
+                {"kind": "edge-ranking", "owner": v, "ranking": [i]} for i, v in enumerate(names)
+            ],
+        }
+        path, err_path = tmp_path / "ring.json", tmp_path / "stderr.txt"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with err_path.open("wb") as err, subprocess.Popen(
+            [sys.executable, "-m", "finclear.cli", "clear", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=err,
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+        assert first == b"a_f0 = 3\n"
+        assert b"Traceback" not in err_path.read_bytes()
+        assert err_path.read_bytes() == b""
+        assert code == cli.EXIT_BROKEN_PIPE
+
     def test_pro_rata_clearing_prints_fractions(self, fixtures_dir):
         result = run_cli("clear", "--pro-rata", str(fixtures_dir / "two_cycle.json"))
         assert result.returncode == 0

@@ -20,10 +20,12 @@ from finclear import (
     ThresholdRankingStrategy,
     top_cycle_increase,
 )
+from finclear.clearing import clear_circulation, compile_schedule
 from finclear.core import (
     ClearingState,
     FlowAssignment,
     InconsistentStateError,
+    build_circulation_network,
     node_key,
 )
 from finclear.strategies import payment_segments
@@ -148,6 +150,49 @@ def test_kernel_matches_the_restart_from_scratch_reference(seed, order_seed):
     cycle_rng = None if order_seed is None else random.Random(order_seed)
     expected = _state(ref_clear(net, profile))
     assert _state(top_cycle_increase(net, profile, cycle_rng=cycle_rng)) == expected
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1) | st.none(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_every_slot_of_the_kernel_vector_is_a_clearing_circulation(seed, order_seed, shuffle_seed):
+    """The whole vector ``clear_circulation`` returns, surplus and source
+    slots included: flow is conserved at every node, the source too; each
+    funded source slot carries its firm's external; each node pays its
+    schedule in order, every segment before its last paid one full (a
+    greedy refill of its outflow gives every slot); and a shuffled start
+    order returns the same vector."""
+    _, net, profile = _instance(seed)
+    circ = build_circulation_network(net)
+    schedules = [compile_schedule(circ, v, profile.strategy_for(v)) for v in circ.nodes]
+    cycle_rng = None if order_seed is None else random.Random(order_seed)
+    flows = clear_circulation(circ, schedules, circ.external, cycle_rng=cycle_rng)
+    shuffled = clear_circulation(
+        circ, schedules, circ.external, cycle_rng=random.Random(shuffle_seed)
+    )
+    assert shuffled == flows
+    m, s = len(circ.slot), circ.index[circ.source]
+    assert len(flows) == m + 2 * len(circ.nodes)
+
+    balance = [0] * len(circ.nodes)
+    for u, v, f in zip(circ.src, circ.dst, flows):
+        balance[u] -= f
+        balance[v] += f
+    assert balance == [0] * len(circ.nodes)
+
+    assert flows[m + 1 :: 2] == circ.external
+    schedules[s] = [(m + 2 * i + 1, x) for i, x in enumerate(circ.external) if x > 0]
+    unscheduled = set(range(len(flows)))
+    for schedule in schedules:
+        paid = dict.fromkeys((slot for slot, _ in schedule), 0)
+        total = sum(flows[slot] for slot in paid)
+        for slot, length in schedule:
+            x = min(length, total)
+            paid[slot] += x
+            total -= x
+        assert total == 0
+        assert paid == {slot: flows[slot] for slot in paid}
+        unscheduled -= paid.keys()
+    assert all(flows[slot] == 0 for slot in unscheduled)
 
 
 def _relabel(rng, net, profile):
